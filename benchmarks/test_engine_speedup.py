@@ -162,11 +162,12 @@ def test_governed_burst_speedup_at_least_5x():
     cross-engine lockstep plan cache keep working across retunes
     (measured ~8.0-8.6x; the hard 8x contract is the runner floor).
     """
-    from repro.workloads.dvfs import run_scenario, wlan_mcs_scenario
+    from repro.workloads.coordinated import run_pipeline
+    from repro.workloads.dvfs import wlan_mcs_scenario
 
     def run(engine):
         scenario = wlan_mcs_scenario(frames=16)
-        return run_scenario(scenario, "occupancy_pi", engine=engine)
+        return run_pipeline(scenario, "occupancy_pi", engine=engine)
 
     reference_s, reference = _best_of(
         REPEATS, lambda: run("reference")

@@ -34,6 +34,7 @@ from repro.control.epochs import (
 from repro.control.coordinator import (
     CoordinatedGovernor,
     GateSegment,
+    IndependentSlackGovernor,
     plan_power_gating,
 )
 
@@ -43,6 +44,7 @@ __all__ = [
     "GateSegment",
     "Governor",
     "GovernedRun",
+    "IndependentSlackGovernor",
     "OccupancyPIGovernor",
     "SlackGovernor",
     "StaticGovernor",

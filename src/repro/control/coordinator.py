@@ -31,10 +31,14 @@ The governor is still a deterministic function of the telemetry
 stream, so coordinated multi-column runs stay bit-identical between
 the reference and compiled engines - the property the
 ``--coordinated`` evaluation asserts per scenario.
+:class:`IndependentSlackGovernor` is the uncoordinated baseline it is
+compared against: the same per-stage slack governors with no
+cross-domain state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -50,6 +54,7 @@ from repro.control.governor import (
 __all__ = [
     "CoordinatedGovernor",
     "GateSegment",
+    "IndependentSlackGovernor",
     "plan_power_gating",
 ]
 
@@ -367,6 +372,85 @@ class CoordinatedGovernor(Governor):
 
 
 GOVERNOR_KINDS[CoordinatedGovernor.name] = CoordinatedGovernor
+
+
+class IndependentSlackGovernor(Governor):
+    """Per-column deadline governors with no cross-domain state.
+
+    The uncoordinated middle ground the evaluation compares against:
+    every stage runs a :class:`SlackGovernor` on the *chip-global*
+    deadline signal (due words not yet out of the pipe) with its own
+    per-word cost.  Each stage therefore provisions as if it alone had
+    to clear the whole remaining backlog - deadline-safe, but blind to
+    how much of that work other stages have already retired, to what
+    its producer can actually deliver, and to any gating opportunity;
+    exactly the information the chip-level coordinator adds.
+    """
+
+    name = "independent"
+
+    def __init__(
+        self,
+        ladder,
+        cycles_per_word,
+        guard: float = 1.25,
+        word_scales=None,
+    ) -> None:
+        self.cycles_per_word = tuple(float(c) for c in cycles_per_word)
+        if not self.cycles_per_word:
+            raise ConfigurationError(
+                "cycles_per_word needs at least one stage"
+            )
+        if word_scales is None:
+            word_scales = (1.0,) * len(self.cycles_per_word)
+        self.word_scales = tuple(float(s) for s in word_scales)
+        if len(self.word_scales) != len(self.cycles_per_word):
+            raise ConfigurationError(
+                f"{len(self.cycles_per_word)} stages but "
+                f"{len(self.word_scales)} word scales"
+            )
+        for stage, scale in enumerate(self.word_scales):
+            if scale <= 0:
+                raise ConfigurationError(
+                    f"word scale for stage {stage} must be positive, "
+                    f"got {scale}"
+                )
+        self.governors = [
+            SlackGovernor(ladder, columns=(i,), guard=guard)
+            for i in range(len(self.cycles_per_word))
+        ]
+
+    def reset(self) -> None:
+        for governor in self.governors:
+            governor.reset()
+
+    def decide(self, telemetry: Telemetry) -> tuple:
+        dividers = list(telemetry.dividers)
+        for stage, governor in enumerate(self.governors):
+            if telemetry.halted[stage]:
+                continue
+            extras = dict(telemetry.extras)
+            # Only the stage's own per-word cost and static rate scale
+            # are local knowledge; the words owed stay chip-global (no
+            # per-stage progress sharing between independent
+            # controllers).  The scale converts the chip-global exit
+            # words into the stage's own input words - a decimator's
+            # upstream owes more words than leave the pipe - rounded
+            # up so the conversion can only speed a stage up.
+            extras.pop("stage_words_to_deadline", None)
+            extras["cycles_per_word"] = self.cycles_per_word[stage]
+            words = extras.get("words_to_deadline")
+            scale = self.word_scales[stage]
+            if words is not None and scale != 1.0:
+                extras["words_to_deadline"] = int(
+                    math.ceil(words * scale)
+                )
+            view = replace(telemetry, extras=extras)
+            dividers[stage] = governor.decide(view)[stage]
+        return tuple(dividers)
+
+
+GOVERNOR_KINDS[IndependentSlackGovernor.name] = IndependentSlackGovernor
 
 
 # ----------------------------------------------------------------------

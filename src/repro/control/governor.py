@@ -333,7 +333,8 @@ class SlackGovernor(Governor):
 
 
 #: Governor registry by policy name.  ``repro.control.coordinator``
-#: registers :class:`CoordinatedGovernor` here on import (the package
+#: registers :class:`CoordinatedGovernor` and
+#: :class:`IndependentSlackGovernor` here on import (the package
 #: ``__init__`` imports it, so the registry is complete whenever
 #: ``repro.control`` is), mirroring how simulation engines register in
 #: :data:`repro.sim.engine.ENGINES`.

@@ -18,12 +18,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.workloads.dvfs import (
-    ScenarioResult,
-    mpeg4_scene_scenario,
-    run_scenario,
-    wlan_mcs_scenario,
-)
+from repro.workloads.coordinated import PipelineResult, run_pipeline
+from repro.workloads.dvfs import mpeg4_scene_scenario, wlan_mcs_scenario
 
 #: Governor policies compared per scenario (static is the baseline).
 GOVERNORS = ("static", "occupancy_pi", "slack")
@@ -45,7 +41,7 @@ def _smoke() -> bool:
 
 
 def evaluate_scenario(key: str, frames: int | None = None) -> dict:
-    """{governor: ScenarioResult} for one scenario."""
+    """{governor: PipelineResult} for one scenario."""
     factory = SCENARIOS[key]
     if frames is None and _smoke():
         frames = _SMOKE_FRAMES
@@ -55,12 +51,12 @@ def evaluate_scenario(key: str, frames: int | None = None) -> dict:
     scenario = factory(frames=frames) if frames is not None \
         else factory()
     return {
-        kind: run_scenario(scenario, kind) for kind in GOVERNORS
+        kind: run_pipeline(scenario, kind) for kind in GOVERNORS
     }
 
 
 def evaluate_all(frames: int | None = None) -> dict:
-    """{scenario key: {governor: ScenarioResult}} for every scenario."""
+    """{scenario key: {governor: PipelineResult}} for every scenario."""
     return {
         key: evaluate_scenario(key, frames=frames)
         for key in SCENARIOS
@@ -109,7 +105,7 @@ def check_contract(evaluations: dict) -> list:
     return findings
 
 
-def _result_payload(result: ScenarioResult) -> dict:
+def _result_payload(result: PipelineResult) -> dict:
     residency = result.frequency_residency(0)
     return {
         "energy_nj": round(result.energy_nj, 3),
@@ -143,7 +139,7 @@ def bench_payload(evaluations: dict | None = None) -> dict:
             "frame_ticks": scenario.frame_ticks,
             "reference_mhz": scenario.reference_mhz,
             "divider_ladder": list(scenario.divider_ladder),
-            "static_divider": scenario.static_divider(),
+            "static_divider": scenario.static_dividers()[0],
             "governors": {
                 kind: dict(
                     _result_payload(result),

@@ -215,24 +215,12 @@ def _run_ddc_pipeline(engine: str):
     return Simulator(chip, engine=engine).run(max_ticks=1_000_000)
 
 
-#: frame count -> prebuilt scenario.  ``wlan_mcs_scenario`` fits cubic
-#: splines over the MCS trace; that construction is identical for every
-#: timed repeat and is not part of either engine's work, so it is
-#: hoisted out of the timing loop (``run_scenario`` builds a fresh chip
-#: and harness per call and never mutates the scenario).
-_SCENARIOS: dict = {}
-
-
 def _run_governed_burst(engine: str):
-    from repro.workloads.dvfs import run_scenario, wlan_mcs_scenario
+    from repro.workloads.coordinated import run_pipeline
+    from repro.workloads.dvfs import wlan_mcs_scenario
 
-    frames = 6 if _smoke() else 16
-    scenario = _SCENARIOS.get(frames)
-    if scenario is None:
-        scenario = wlan_mcs_scenario(frames=frames)
-        _SCENARIOS[frames] = scenario
-    result = run_scenario(scenario, "occupancy_pi", engine=engine)
-    return result.run.stats
+    scenario = wlan_mcs_scenario(frames=6 if _smoke() else 16)
+    return run_pipeline(scenario, "occupancy_pi", engine=engine).run.stats
 
 
 #: workload key -> (description, runner(engine) -> SimulationStats)

@@ -1,13 +1,12 @@
-"""Multi-column governed pipelines for the coordinated evaluation.
+"""Governed column pipelines: the one scenario harness.
 
-The bursty scenarios of :mod:`repro.workloads.dvfs` exercise one
-governed column; these scenarios govern whole *pipelines* - the
-paper's actual mapping style, where each column is one stage of the
-DDC or 802.11a receive chain running at its own rationally related
-clock.  A :class:`PipelineScenario` builds an N-column chip (one
-streaming worker per stage, horizontal bus moving words stage to
-stage) and a rate-varying frame trace; :func:`run_pipeline` drives it
-under one of three policies:
+These scenarios govern whole *pipelines* - the paper's mapping style,
+where each column is one stage of the DDC or 802.11a receive chain
+running at its own rationally related clock.  A
+:class:`PipelineScenario` builds an N-column chip (one streaming
+worker per stage, horizontal bus moving words stage to stage) and a
+rate-varying frame trace; :func:`run_pipeline` drives it under one of
+the compared policies:
 
 * ``static`` - per-stage worst-case provisioning (the paper's
   startup-only schedule applied to every stage);
@@ -18,6 +17,11 @@ under one of three policies:
   :class:`~repro.control.coordinator.CoordinatedGovernor`: per-stage
   slack governors under rate matching, single-boundary commits, and
   power gating of quiescent columns in the energy ledger.
+
+A single governed column is the one-stage case: the bursty scenarios
+of :mod:`repro.workloads.dvfs` are one-stage pipelines, run through
+the same harness and ledger under the single-column feedback policies
+``occupancy_pi`` and ``slack`` as well.
 
 Deadlines are counted at the *end of the pipe* (a frame's words must
 all leave the last stage by the next frame boundary), and the energy
@@ -30,8 +34,10 @@ transition and re-wake charges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,14 +46,14 @@ from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou_compiler import Transfer, compile_schedule
 from repro.control.coordinator import (
     CoordinatedGovernor,
+    IndependentSlackGovernor,
     plan_power_gating,
 )
 from repro.control.epochs import GovernedRun, run_governed
 from repro.control.governor import (
-    GOVERNOR_KINDS,
     Governor,
-    SlackGovernor,
     StaticGovernor,
+    create_governor,
     slowest_safe_divider,
 )
 from repro.control.transitions import TransitionModel
@@ -56,10 +62,8 @@ from repro.isa.assembler import assemble
 from repro.power.interconnect import CommProfile
 from repro.power.measured import EnergyLedger
 from repro.power.model import ComponentSpec, PowerModel
-from repro.workloads.dvfs import _mcs_loads, energy_segments
 
 __all__ = [
-    "IndependentSlackGovernor",
     "PIPELINE_GOVERNORS",
     "PipelineResult",
     "PipelineScenario",
@@ -67,6 +71,7 @@ __all__ = [
     "aes_pipeline_scenario",
     "charge_pipeline_ledger",
     "ddc_pipeline_scenario",
+    "energy_segments",
     "mpeg4_pipeline_scenario",
     "pipeline_governor",
     "run_pipeline",
@@ -147,7 +152,9 @@ class PipelineScenario:
     ``(i + 1) * frame_ticks``.  Words flow stage to stage over the
     horizontal bus (one round-robin DOU cycle per producing stage),
     through the voltage-adapting inter-column ports whose occupancy
-    the governors watch.  ``epoch_ticks`` must divide ``frame_ticks``
+    the governors watch.  One stage is the single governed column: the
+    head is also the sink and the chip has no horizontal bus
+    schedule.  ``epoch_ticks`` must divide ``frame_ticks``
     and be a multiple of every ladder divider so deadlines and
     commits land on control boundaries.
 
@@ -194,9 +201,9 @@ class PipelineScenario:
             self, "divider_ladder",
             tuple(sorted(self.divider_ladder)),
         )
-        if len(self.stages) < 2:
+        if not self.stages:
             raise ConfigurationError(
-                f"{self.name}: a pipeline needs at least two stages"
+                f"{self.name}: a pipeline needs at least one stage"
             )
         for stage in self.stages:
             if not isinstance(stage, PipelineStage):
@@ -516,7 +523,7 @@ class PipelineScenario:
             ],
             n_positions=self.n_stages,
             name=f"{self.key}-hbus",
-        )
+        ) if self.n_stages > 1 else None
         config = ChipConfig(
             reference_mhz=self.reference_mhz,
             columns=tuple(
@@ -548,6 +555,23 @@ def _band_loads(frames: int, seed: int) -> tuple:
             level = min(len(levels) - 1, max(0, level + step))
         loads.append(levels[level])
     # Exercise the worst case at least once.
+    loads[int(rng.integers(frames // 2, frames))] = levels[-1]
+    return tuple(loads)
+
+
+def _mcs_loads(frames: int, seed: int) -> tuple:
+    """A WLAN modulation-and-coding trace: sticky MCS with hops."""
+    rng = np.random.default_rng(seed)
+    levels = (12, 24, 48, 96)  # BPSK .. 64-QAM words per frame
+    level = 1
+    loads = []
+    for _ in range(frames):
+        roll = rng.random()
+        if roll > 0.65:  # hop one MCS step, biased upward
+            step = 1 if rng.random() < 0.55 else -1
+            level = min(len(levels) - 1, max(0, level + step))
+        loads.append(levels[level])
+    # Guarantee the trace really exercises the worst case once.
     loads[int(rng.integers(frames // 2, frames))] = levels[-1]
     return tuple(loads)
 
@@ -726,87 +750,10 @@ def stereo_pipeline_scenario(
 # ----------------------------------------------------------------------
 # governors
 # ----------------------------------------------------------------------
-#: Policy names run_pipeline accepts (the evaluation compares all).
+#: Pipeline policies the coordinated evaluation and the scenario
+#: generator compare.  :func:`pipeline_governor` also builds the
+#: single-column feedback policies ``occupancy_pi`` and ``slack``.
 PIPELINE_GOVERNORS = ("static", "independent", "coordinated")
-
-
-class IndependentSlackGovernor(Governor):
-    """Per-column deadline governors with no cross-domain state.
-
-    The uncoordinated middle ground the evaluation compares against:
-    every stage runs PR 3's :class:`SlackGovernor` on the *chip-global*
-    deadline signal (due words not yet out of the pipe) with its own
-    per-word cost.  Each stage therefore provisions as if it alone had
-    to clear the whole remaining backlog - deadline-safe, but blind to
-    how much of that work other stages have already retired, to what
-    its producer can actually deliver, and to any gating opportunity;
-    exactly the information the chip-level coordinator adds.
-    """
-
-    name = "independent"
-
-    def __init__(
-        self,
-        ladder,
-        cycles_per_word,
-        guard: float = 1.25,
-        word_scales=None,
-    ) -> None:
-        self.cycles_per_word = tuple(float(c) for c in cycles_per_word)
-        if not self.cycles_per_word:
-            raise ConfigurationError(
-                "cycles_per_word needs at least one stage"
-            )
-        if word_scales is None:
-            word_scales = (1.0,) * len(self.cycles_per_word)
-        self.word_scales = tuple(float(s) for s in word_scales)
-        if len(self.word_scales) != len(self.cycles_per_word):
-            raise ConfigurationError(
-                f"{len(self.cycles_per_word)} stages but "
-                f"{len(self.word_scales)} word scales"
-            )
-        for stage, scale in enumerate(self.word_scales):
-            if scale <= 0:
-                raise ConfigurationError(
-                    f"word scale for stage {stage} must be positive, "
-                    f"got {scale}"
-                )
-        self.governors = [
-            SlackGovernor(ladder, columns=(i,), guard=guard)
-            for i in range(len(self.cycles_per_word))
-        ]
-
-    def reset(self) -> None:
-        for governor in self.governors:
-            governor.reset()
-
-    def decide(self, telemetry) -> tuple:
-        dividers = list(telemetry.dividers)
-        for stage, governor in enumerate(self.governors):
-            if telemetry.halted[stage]:
-                continue
-            extras = dict(telemetry.extras)
-            # Only the stage's own per-word cost and static rate scale
-            # are local knowledge; the words owed stay chip-global (no
-            # per-stage progress sharing between independent
-            # controllers).  The scale converts the chip-global exit
-            # words into the stage's own input words - a decimator's
-            # upstream owes more words than leave the pipe - rounded
-            # up so the conversion can only speed a stage up.
-            extras.pop("stage_words_to_deadline", None)
-            extras["cycles_per_word"] = self.cycles_per_word[stage]
-            words = extras.get("words_to_deadline")
-            scale = self.word_scales[stage]
-            if words is not None and scale != 1.0:
-                extras["words_to_deadline"] = int(
-                    math.ceil(words * scale)
-                )
-            view = replace(telemetry, extras=extras)
-            dividers[stage] = governor.decide(view)[stage]
-        return tuple(dividers)
-
-
-GOVERNOR_KINDS[IndependentSlackGovernor.name] = IndependentSlackGovernor
 
 
 def pipeline_governor(
@@ -814,11 +761,15 @@ def pipeline_governor(
 ) -> Governor:
     """Construct one of the evaluated pipeline policies.
 
+    Accepts every name in :data:`PIPELINE_GOVERNORS`; any other name
+    goes to :func:`~repro.control.governor.create_governor` over the
+    scenario's divider ladder, which builds ``occupancy_pi`` and
+    ``slack``.
+
     Raises
     ------
     ConfigurationError
-        For names outside :data:`PIPELINE_GOVERNORS`, with the valid
-        choices listed.
+        For an unregistered name, with the valid choices listed.
     """
     if kind == "static":
         return StaticGovernor(scenario.static_dividers())
@@ -842,9 +793,8 @@ def pipeline_governor(
             ),
             predecessors=scenario.stage_predecessors,
         )
-    raise ConfigurationError(
-        f"{scenario.key}: unknown pipeline governor {kind!r}; valid: "
-        f"{sorted(PIPELINE_GOVERNORS)}"
+    return create_governor(
+        kind, scenario.divider_ladder, context=scenario.key
     )
 
 
@@ -852,7 +802,14 @@ def pipeline_governor(
 # harness
 # ----------------------------------------------------------------------
 class _PipelineHarness:
-    """Feeds the head stage, drains the tail, publishes deadlines."""
+    """Feeds the head stage, drains the tail, publishes deadlines.
+
+    The scenario's exact word-flow scales are reduced to integers once,
+    here: the due head words per frame become prefix sums, and each
+    stage's deadline decomposition becomes integer queue weights over
+    one common denominator, so an epoch's signals cost integer
+    arithmetic only - the same values the ``Fraction`` expressions give.
+    """
 
     def __init__(
         self, scenario: PipelineScenario, chip: Chip
@@ -862,13 +819,17 @@ class _PipelineHarness:
         self.fed_frames = 0
         self.produced = 0
         self.samples: list = []
+        self._due_heads = tuple(accumulate(scenario.frame_loads))
+        exit_scale = scenario.exit_scale
+        self._exit = (exit_scale.numerator, exit_scale.denominator)
+        stage_cycles = scenario.stage_cycles
+        self._cycles_per_word = float(max(stage_cycles))
+        self._stage_cycles = tuple(float(c) for c in stage_cycles)
+        self._stage_plans = self._deadline_plans(chip)
 
     def before_epoch(self, chip: Chip, epoch: int) -> None:
         tick = chip.reference_ticks
-        tail = chip.columns[-1]
-        while not tail.h_out.is_empty:
-            tail.h_out.pop()
-            self.produced += 1
+        self.produced += chip.columns[-1].h_out.drain()
         scenario = self.scenario
         while self.fed_frames < scenario.n_frames \
                 and self.fed_frames * scenario.frame_ticks <= tick:
@@ -884,19 +845,8 @@ class _PipelineHarness:
             self.fed_frames += 1
         self.samples.append((tick, self.produced))
 
-    def _due_words(self, tick: int) -> tuple:
-        """Due head words, the same in exit words, next deadline."""
-        scenario = self.scenario
-        arrived = min(
-            scenario.n_frames - 1, tick // scenario.frame_ticks
-        )
-        due_head = sum(scenario.frame_loads[:arrived + 1])
-        due_exit = int(due_head * scenario.exit_scale)
-        next_deadline = (arrived + 1) * scenario.frame_ticks
-        return due_head, due_exit, next_deadline
-
-    def telemetry_extras(self, chip: Chip, epoch: int) -> dict:
-        """Chip-level deadline signals, end-of-pipe and per-stage.
+    def _deadline_plans(self, chip: Chip) -> tuple:
+        """Per stage: what ``telemetry_extras`` needs, in integers.
 
         ``stage_words_to_deadline[i]`` subtracts from the words due at
         stage ``i`` (the due head words scaled into the stage's own
@@ -908,20 +858,21 @@ class _PipelineHarness:
         governor run *faster*.  On a fork only the primary branch's
         queues are credited (a word still owed on the other branch is
         not past the fork), which again errs fast, never slow.
+
+        Each plan is ``(due numerator, due denominator, produced
+        weight, ((queue, weight), ...), denominator)``: the words past
+        the stage are ``(produced * produced weight + sum(len(queue)
+        * weight)) // denominator``.
         """
         scenario = self.scenario
-        tick = chip.reference_ticks
-        due_head, due_exit, next_deadline = self._due_words(tick)
         columns = chip.columns
         scales = scenario.input_scales
         out_scales = scenario.output_scales
         successors = scenario.stage_successors
-        stage_words = []
-        for index in range(scenario.n_stages):
-            scale = scales[index]
-            past = self.produced * scale / scenario.exit_scale
-            past += len(columns[index].h_out) \
-                * scale / out_scales[index]
+        predecessors = scenario.stage_predecessors
+        plans = []
+        for index, scale in enumerate(scales):
+            queues = [(columns[index].h_out, scale / out_scales[index])]
             walk = index
             while successors[walk]:
                 walk = successors[walk][0]
@@ -929,50 +880,84 @@ class _PipelineHarness:
                 # branch stage cannot attribute, so it earns no
                 # credit: counting an averaged share would let a
                 # lagging branch claim the *other* branch's progress.
-                if len(scenario.stage_predecessors[walk]) == 1:
-                    past += len(columns[walk].h_in) \
-                        * scale / scales[walk]
-                past += len(columns[walk].h_out) \
-                    * scale / out_scales[walk]
-            due_stage = int(due_head * scale)
-            stage_words.append(max(0, due_stage - int(past)))
-        window = next_deadline - tick \
+                if len(predecessors[walk]) == 1:
+                    queues.append((columns[walk].h_in, scale / scales[walk]))
+                queues.append(
+                    (columns[walk].h_out, scale / out_scales[walk])
+                )
+            exit_weight = scale / scenario.exit_scale
+            denominator = math.lcm(exit_weight.denominator, *(
+                weight.denominator for _, weight in queues
+            ))
+            plans.append((
+                scale.numerator, scale.denominator,
+                int(exit_weight * denominator),
+                tuple(
+                    (queue, int(weight * denominator))
+                    for queue, weight in queues
+                ),
+                denominator,
+            ))
+        return tuple(plans)
+
+    def telemetry_extras(self, chip: Chip, epoch: int) -> dict:
+        """Chip-level deadline signals, end-of-pipe and per-stage.
+
+        See :meth:`_deadline_plans` for the per-stage decomposition.
+        """
+        scenario = self.scenario
+        tick = chip.reference_ticks
+        arrived = min(
+            scenario.n_frames - 1, tick // scenario.frame_ticks
+        )
+        due_head = self._due_heads[arrived]
+        produced = self.produced
+        stage_words = []
+        for due_numerator, due_denominator, produced_weight, queues, \
+                denominator in self._stage_plans:
+            past = produced * produced_weight
+            for queue, weight in queues:
+                past += len(queue) * weight
+            due_stage = due_head * due_numerator // due_denominator
+            stage_words.append(max(0, due_stage - past // denominator))
+        exit_numerator, exit_denominator = self._exit
+        due_exit = due_head * exit_numerator // exit_denominator
+        window = (arrived + 1) * scenario.frame_ticks - tick \
             - scenario.drain_allowance_ticks
         return {
-            "words_to_deadline": max(0, due_exit - self.produced),
+            "words_to_deadline": max(0, due_exit - produced),
             "ticks_to_deadline": max(1, window),
-            "cycles_per_word": float(max(scenario.stage_cycles)),
+            "cycles_per_word": self._cycles_per_word,
             "stage_words_to_deadline": tuple(stage_words),
-            "stage_cycles_per_word": tuple(
-                float(c) for c in scenario.stage_cycles
-            ),
+            "stage_cycles_per_word": self._stage_cycles,
         }
 
     def finish(self, run: GovernedRun) -> None:
-        """Credit words that only left during the post-halt drain."""
-        tail = self.chip.columns[-1]
-        while not tail.h_out.is_empty:
-            tail.h_out.pop()
-            self.produced += 1
+        """Credit words that only left during the post-halt drain.
+
+        They are credited at the drain's end tick - the conservative
+        timestamp: a deadline falling between halt and drain end
+        counts them as late.
+        """
+        self.produced += self.chip.columns[-1].h_out.drain()
         self.samples.append(
             (run.stats.reference_ticks, self.produced)
         )
 
     def deadline_misses(self) -> int:
-        """Frames whose words had not all left the pipe in time."""
-        scenario = self.scenario
+        """Frames whose words had not all left the pipe in time.
+
+        Samples rise in both tick and words produced, so the words out
+        by a deadline are those of the last sample at or before it.
+        """
+        frame_ticks = self.scenario.frame_ticks
+        exit_numerator, exit_denominator = self._exit
+        ticks = [tick for tick, _ in self.samples]
         misses = 0
-        due_head = 0
-        for index, words in enumerate(scenario.frame_loads):
-            due_head += words
-            due = int(due_head * scenario.exit_scale)
-            deadline = (index + 1) * scenario.frame_ticks
-            produced_by_deadline = 0
-            for tick, produced in self.samples:
-                if tick <= deadline:
-                    produced_by_deadline = max(
-                        produced_by_deadline, produced
-                    )
+        for index, due_head in enumerate(self._due_heads):
+            due = due_head * exit_numerator // exit_denominator
+            last = bisect_right(ticks, (index + 1) * frame_ticks)
+            produced_by_deadline = self.samples[last - 1][1] if last else 0
             if produced_by_deadline < due:
                 misses += 1
         return misses
@@ -981,6 +966,36 @@ class _PipelineHarness:
 # ----------------------------------------------------------------------
 # energy accounting with power gating
 # ----------------------------------------------------------------------
+def energy_segments(run: GovernedRun, name: str = "run") -> list:
+    """Tile a governed run's tick span into chargeable segments.
+
+    Returns ``(dividers, duration_ticks, column_activity | None)``
+    triples: one per epoch window, plus a final activity-free segment
+    for the post-halt bus drain at the last committed clock.  The
+    *coverage* invariant is checked here - the segments must tile the
+    run's full reference-tick span exactly, so a dropped epoch or
+    drain window raises :class:`~repro.errors.SimulationError` instead
+    of silently undercounting energy.  :func:`charge_pipeline_ledger`
+    builds on this.
+    """
+    segments = [
+        (epoch.dividers, epoch.duration_ticks, epoch.column_activity)
+        for epoch in run.timeline
+    ]
+    covered = run.timeline[-1].end_tick if run.timeline else 0
+    drain = run.stats.reference_ticks - covered
+    if drain > 0 and run.timeline:
+        segments.append((run.timeline[-1].dividers, drain, None))
+    tiled = sum(ticks for _, ticks, _ in segments)
+    if tiled != run.stats.reference_ticks:
+        raise SimulationError(
+            f"{name}: energy segments cover {tiled} of "
+            f"{run.stats.reference_ticks} reference ticks - the "
+            f"ledger would undercount"
+        )
+    return segments
+
+
 def charge_pipeline_ledger(
     scenario: PipelineScenario,
     run: GovernedRun,
@@ -991,8 +1006,9 @@ def charge_pipeline_ledger(
     """Ledger over the pipeline timeline, with gated-rail windows.
 
     Every (epoch, column) window is charged at that epoch's committed
-    operating point with the window's measured busy split, exactly as
-    the single-column charger does; additionally, when ``gating`` is
+    operating point with the window's measured busy split, and the
+    post-halt drain idle at the final operating point (the segments of
+    :func:`energy_segments`); additionally, when ``gating`` is
     on, the coordinator's gate plan
     (:func:`~repro.control.coordinator.plan_power_gating`) marks fully
     quiescent windows, and each candidate segment is gated only if the

@@ -1,6 +1,13 @@
 """Chip-level coordinator: cross-domain policy and gate planning."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.control.coordinator import (
     CoordinatedGovernor,
@@ -257,6 +264,28 @@ class TestDecide:
             extras=deadline_extras((100, 300, 400)),
         )
         assert governor.decide(snapshot) == governor.decide(snapshot)
+
+
+def test_independent_registers_with_the_control_package():
+    """A fresh interpreter importing only ``repro.control`` can build
+    every governor kind, ``independent`` included."""
+    code = (
+        "import sys\n"
+        "from repro.control import create_governor\n"
+        "governor = create_governor('independent', (1, 2, 4, 8), "
+        "(8.0, 8.0))\n"
+        "assert not any(name.startswith('repro.workloads') "
+        "for name in sys.modules)\n"
+        "print(type(governor).__name__)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "IndependentSlackGovernor"
 
 
 def record(index, start, end, dividers, quiet):

@@ -1,6 +1,7 @@
 """The --coordinated evaluation: contract, payload, CLI artifact."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,12 @@ from repro.eval.coordinated import (
 from repro.eval.runner import main
 
 FRAMES = 6
+
+#: ``bench_payload(evaluate_all(frames=6))["scenarios"]`` recorded from
+#: the harness's ``Fraction`` deadline arithmetic; its integer form must
+#: reproduce every number bit for bit.
+GOLDEN = Path(__file__).parent / "golden" \
+    / "coordinated_scenarios_frames6.json"
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +76,18 @@ def test_bench_payload_shape(evaluations):
         for table in residency.values():
             assert sum(table.values()) > 0
     assert json.dumps(payload)  # JSON-serializable end to end
+
+
+def test_scenarios_match_golden(evaluations):
+    scenarios = bench_payload(evaluations)["scenarios"]
+    # The ~1e-16 conservation residue comes from ``sum()`` over floats,
+    # whose rounding changed in Python 3.12; ``check_contract`` bounds
+    # it, and the rounded energies pin the arithmetic.
+    for scenario in scenarios.values():
+        for entry in scenario["governors"].values():
+            del entry["conservation_relative_error"]
+    text = json.dumps(scenarios, indent=2) + "\n"
+    assert text == GOLDEN.read_text()
 
 
 def test_render_mentions_every_policy(evaluations):

@@ -1,6 +1,7 @@
 """The --dvfs evaluation: contract, payload, CLI artifact."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,11 @@ from repro.eval.dvfs import (
 from repro.eval.runner import main
 
 FRAMES = 8
+
+#: ``bench_payload(evaluate_all(frames=8))["scenarios"]`` recorded from
+#: the former single-column harness; the one-stage pipelines must
+#: reproduce every number bit for bit.
+GOLDEN = Path(__file__).parent / "golden" / "dvfs_scenarios_frames8.json"
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +61,18 @@ def test_bench_payload_shape(evaluations):
         # worst-case provisioning shows up as stalled cycles
         assert static["idle_fraction"] > 0.3
     assert json.dumps(payload)  # JSON-serializable end to end
+
+
+def test_scenarios_match_golden(evaluations):
+    scenarios = bench_payload(evaluations)["scenarios"]
+    # The ~1e-16 conservation residue comes from ``sum()`` over floats,
+    # whose rounding changed in Python 3.12; ``check_contract`` bounds
+    # it, and the rounded energies pin the arithmetic.
+    for scenario in scenarios.values():
+        for entry in scenario["governors"].values():
+            del entry["conservation_relative_error"]
+    text = json.dumps(scenarios, indent=2) + "\n"
+    assert text == GOLDEN.read_text()
 
 
 def test_render_mentions_every_governor(evaluations):

@@ -262,10 +262,11 @@ def test_retune_mid_parked_window_differential():
 
 def test_governed_scenario_differential():
     """The full governed stack end to end, reference vs compiled."""
-    from repro.workloads.dvfs import run_scenario, wlan_mcs_scenario
+    from repro.workloads.coordinated import run_pipeline
+    from repro.workloads.dvfs import wlan_mcs_scenario
 
     results = {
-        engine: run_scenario(
+        engine: run_pipeline(
             wlan_mcs_scenario(frames=4), "occupancy_pi", engine=engine
         )
         for engine in ("reference", "compiled")

@@ -1,12 +1,14 @@
 """The examples stay runnable (fast ones run here end to end)."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def _run_example(name: str) -> None:
@@ -41,3 +43,13 @@ def test_all_examples_exist():
         "design_space_exploration", "auto_parallelization",
         "simulated_kernels",
     } <= names
+
+
+def test_readme_quickstart_runs(capsys):
+    """The README's first Quickstart block runs as written."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md:Quickstart", "exec"), {})
+    out = capsys.readouterr().out
+    assert "0 misses" in out

@@ -1,10 +1,15 @@
-"""Bursty scenarios and the governed scenario harness."""
+"""The bursty scenarios run through ``run_scenario``.
+
+``repro.workloads.dvfs.run_scenario`` is another name for
+``run_pipeline``, kept because ``perfbench/workloads.py`` imports it.
+These checks drive the one-stage scenarios through that name; the
+scenario shapes and the all-policy sweep live in
+``test_coordinated_pipelines.py``.
+"""
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.workloads.dvfs import (
-    BurstyScenario,
     mpeg4_scene_scenario,
     run_scenario,
     wlan_mcs_scenario,
@@ -23,46 +28,6 @@ def mpeg4():
     return mpeg4_scene_scenario(frames=FRAMES)
 
 
-class TestScenarioShape:
-    def test_traces_are_deterministic(self):
-        assert wlan_mcs_scenario().frame_loads \
-            == wlan_mcs_scenario().frame_loads
-        assert mpeg4_scene_scenario().frame_loads \
-            == mpeg4_scene_scenario().frame_loads
-        assert wlan_mcs_scenario(seed=1).frame_loads \
-            != wlan_mcs_scenario(seed=2).frame_loads
-
-    def test_traces_are_really_bursty(self, wlan, mpeg4):
-        for scenario in (wlan, mpeg4):
-            assert scenario.peak_words >= 3 * min(scenario.frame_loads)
-
-    def test_static_divider_sustains_the_peak(self, wlan):
-        divider = wlan.static_divider()
-        budget = wlan.frame_ticks / divider
-        assert budget >= wlan.peak_words * wlan.cycles_per_word
-        # and the next slower rung would not make it
-        ladder = wlan.divider_ladder
-        slower = [d for d in ladder if d > divider]
-        if slower:
-            assert wlan.frame_ticks / slower[0] \
-                < wlan.provision_guard * wlan.peak_words \
-                * wlan.cycles_per_word
-
-    def test_epoch_and_frame_alignment_is_validated(self):
-        with pytest.raises(ConfigurationError, match="multiple"):
-            BurstyScenario(
-                name="bad", key="bad", frame_loads=(4,),
-                frame_ticks=100, epoch_ticks=100,
-                divider_ladder=(1, 8),
-            )
-        with pytest.raises(ConfigurationError, match="divide"):
-            BurstyScenario(
-                name="bad", key="bad", frame_loads=(4,),
-                frame_ticks=2048, epoch_ticks=513,
-                divider_ladder=(1,),
-            )
-
-
 class TestHarness:
     def test_every_word_is_processed(self, wlan):
         result = run_scenario(wlan, "static")
@@ -73,12 +38,6 @@ class TestHarness:
         for kind in ("static", "occupancy_pi", "slack"):
             result = run_scenario(mpeg4, kind)
             assert result.deadline_misses == 0, kind
-
-    def test_feedback_governors_beat_static(self, wlan):
-        static = run_scenario(wlan, "static")
-        for kind in ("occupancy_pi", "slack"):
-            governed = run_scenario(wlan, kind)
-            assert governed.energy_nj < static.energy_nj, kind
 
     def test_energy_conservation_is_exact(self, wlan):
         for kind in ("static", "occupancy_pi", "slack"):
@@ -93,13 +52,6 @@ class TestHarness:
         result = run_scenario(wlan, "static")
         assert result.transition_count == 0
         assert result.transition_nj == 0.0
-
-    def test_residency_spans_the_ladder_under_slack(self, wlan):
-        result = run_scenario(wlan, "slack")
-        residency = result.frequency_residency(0)
-        assert len(residency) >= 2  # it really moved around
-        assert sum(residency.values()) \
-            == result.run.stats.reference_ticks
 
     def test_engines_agree_on_a_governed_scenario(self, wlan):
         reference = run_scenario(wlan, "slack", engine="reference")
