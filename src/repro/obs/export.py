@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 from typing import IO
 
 from repro.obs.events import CounterEvent, Event, SpanEvent
@@ -304,7 +305,7 @@ def write_chrome_trace(path, trace) -> dict:
     problem rather than writing a file viewers reject.  The payload
     gains one wall-clock stamp in ``metadata`` (see
     :data:`WALL_CLOCK_METADATA_KEYS`); everything else is
-    deterministic.
+    deterministic.  Missing parent directories are created.
     """
     payload = (
         trace.to_chrome() if isinstance(trace, ChromeTraceBuilder)
@@ -319,6 +320,8 @@ def write_chrome_trace(path, trace) -> dict:
     payload.setdefault("metadata", {})["written_unix_s"] = round(
         time.time(), 3
     )
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")

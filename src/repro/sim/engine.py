@@ -233,6 +233,16 @@ LOCKSTEP_FAILURES = 8
 #: (a runaway governor sweeping operating points, not steady state).
 LOCKSTEP_PLAN_CAP = 256
 
+#: Recurrences of a safepoint signature, counted per chip structure
+#: across every engine in the process, before a recorder arms for it.
+#: On the cold governed corpus (CPython 3.11, 2-vCPU 2.1 GHz Xeon VM)
+#: a round build costs a median 0.32 ms per tick of its period, as
+#: much as dense-stepping the regime for about 40 rounds at 8.2 us
+#: per tick, and arming at the first recurrence built 456 plans of
+#: which 168 never completed a replay.  docs/engines.md gives the
+#: measurement and the sweep behind 16.
+LOCKSTEP_ARM_RECURRENCES = 16
+
 
 #: Sentinel bound for occupancy windows that no recorded predicate
 #: constrains.
@@ -294,20 +304,25 @@ class _RoundPlan:
 class _LockRecorder:
     """One armed lockstep recording: raw captures for a single round.
 
-    Created at the second sighting of a safepoint signature; records
-    every dense-loop event - with the occupancy snapshots and per-DOU
-    stat deltas the plan compiler needs - until the signature recurs,
-    at which point :func:`_build_lock_plan` compiles the round.
+    Created once a safepoint signature has recurred
+    :data:`LOCKSTEP_ARM_RECURRENCES` times on this chip structure
+    (``recurrences`` keeps the count); records every dense-loop event
+    - with the occupancy snapshots and per-DOU stat deltas the plan
+    compiler needs - until the signature recurs, at which point
+    :func:`_build_lock_plan` compiles the round.
     """
 
     __slots__ = (
-        "sig", "start", "deques", "caps", "index_of", "anchor_occ",
-        "credits", "counters", "items",
+        "sig", "start", "recurrences", "deques", "caps", "index_of",
+        "anchor_occ", "credits", "counters", "items",
     )
 
-    def __init__(self, sig, tick, universe, dous, credits) -> None:
+    def __init__(
+        self, sig, tick, recurrences, universe, dous, credits,
+    ) -> None:
         self.sig = sig
         self.start = tick
+        self.recurrences = recurrences
         self.deques, self.caps, self.index_of = universe
         self.anchor_occ = tuple(map(len, self.deques))
         self.credits = tuple(credits)
@@ -354,14 +369,17 @@ class _LockRecorder:
 
 
 def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
-    """Compile an armed recording into a :class:`_RoundPlan`, or None.
+    """Compile an armed recording into ``(plan, binds)``, or None.
 
     Derives, for every occupancy predicate the recorded round
     evaluated (orbit starvation/backpressure classification, parked
     comm columns, no-progress DOU steps), the window of anchor
     occupancies under which the predicate keeps its recorded value,
     then folds all the occupancy-independent effects into integer
-    deltas.
+    deltas.  ``plan`` is the :class:`_RoundPlan`; ``binds`` lists its
+    bound machine objects, as :func:`_emit_round` returns them.  None
+    means the recording cannot be expressed as a round.  A built round
+    emits one ``lockstep_build`` instant when the bus is active.
     """
     raw = recorder.items
     if not raw:
@@ -640,10 +658,23 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
         batch_events, batched_ticks, dense_ticks, parked_edges,
         orbit_laps, fused_calls,
     )
-    fn, source, binds = _emit_round(
-        tuple(merged), recorder.credits, recorder.counters,
+    merged = tuple(merged)
+    fn, source, binds, compiled = _emit_round(
+        merged, recorder.credits, recorder.counters,
         tuple(occ_checks), deques, anchor, dividers, runners,
     )
+    if BUS.active:
+        BUS.instant(
+            "lockstep_build", tick=recorder.start + period,
+            track="engine",
+            args={
+                "round_ticks": period,
+                "recurrences": recorder.recurrences,
+                "primitives": len(merged),
+                "source_bytes": len(source),
+                "compiled": compiled,
+            },
+        )
     return _RoundPlan(period, fn, adds, source), binds
 
 
@@ -658,10 +689,12 @@ def _emit_round(
     plan) is bound once in an enclosing scope and every recorded
     constant is folded into the source, so a replayed round runs with
     no dispatch, no tuple unpacking, and no per-action call overhead.
-    Returns ``(fn, source, binds)`` where ``fn(tick, limit, credits)``
-    -> ``(ok, new_tick)`` and ``binds`` is the bound-object list in
-    bind-name order (the shared plan cache re-resolves it on another
-    engine of the same chip structure).
+    Returns ``(fn, source, binds, compiled)`` where
+    ``fn(tick, limit, credits)`` -> ``(ok, new_tick)``, ``binds`` is
+    the bound-object list in bind-name order (the shared plan cache
+    re-resolves it on another engine of the same chip structure), and
+    ``compiled`` says whether ``compile()`` ran (False: the source was
+    already in :data:`_ROUND_CODE_CACHE`).
     """
     binds = []
     bind_names = []
@@ -948,15 +981,27 @@ def _emit_round(
     lines.extend("        " + line for line in body)
     lines.append("    return _round")
     source = "\n".join(lines)
+    make, compiled = _round_factory(source)
+    return make(binds), source, binds, compiled
+
+
+def _round_factory(source):
+    """``(make, compiled)`` for generated round source.
+
+    ``make(binds)`` returns the round function; ``compiled`` says
+    whether ``compile()`` ran or :data:`_ROUND_CODE_CACHE` held the
+    code already.
+    """
     code = _ROUND_CODE_CACHE.get(source)
-    if code is None:
+    compiled = code is None
+    if compiled:
         if len(_ROUND_CODE_CACHE) >= LOCKSTEP_PLAN_CAP:
             _ROUND_CODE_CACHE.clear()
         code = compile(source, "<lockstep-round>", "exec")
         _ROUND_CODE_CACHE[source] = code
     namespace = {}
     exec(code, namespace)
-    return namespace["_make"](binds), source, binds
+    return namespace["_make"], compiled
 
 
 # Compiled round code objects, keyed by their generated source.  The
@@ -981,15 +1026,24 @@ _ROUND_CODE_CACHE: dict = {}
 _SHARED_LOCK_PLANS: dict = {}
 _SHARED_LOCK_CAP = 1024
 
+# Safepoint-signature recurrences per ``(fingerprint, signature)``,
+# summed over every engine in the process; they gate recorder arming
+# at LOCKSTEP_ARM_RECURRENCES.  Counted per chip structure, not per
+# engine, so a regime that recurs a few times in each of many runs
+# (one engine per governed run) still earns its round.  Clears
+# completely at _SHARED_LOCK_CAP keys, like the plan caches.
+_LOCK_RECURRENCES: dict = {}
+
 # Structural fingerprints interned to small ints so shared-cache keys
 # stay cheap to hash.
 _FP_INTERN: dict = {}
 
 # Local plan-cache marker for a signature already probed against the
-# shared cache and missed.  Signatures recur many times before a
-# recording window completes; remembering the miss keeps each
-# recurrence to one local dict lookup instead of re-hashing the
-# (fingerprint, signature) key against the shared cache every time.
+# shared cache and missed.  A signature is sighted again in window
+# after window (each governed epoch is one), mostly as a first
+# sighting that counts no recurrence; remembering the miss keeps each
+# such sighting to one local dict lookup instead of re-hashing the
+# (fingerprint, signature) key against the shared cache.
 _PROBE_MISS = object()
 
 
@@ -1447,17 +1501,24 @@ class CompiledEngine(Engine):
         round**: the same anchor signature (column pcs, pending/loop
         structure, credits, DOU states, hyperperiod phase) seen at two
         batch-event safepoints a whole number of hyperperiods apart.
-        Detection is two-phase so the steady state pays nothing: the
-        first recurrence of a signature *arms* a :class:`_LockRecorder`
-        that captures exactly one round richly (occupancy snapshots,
-        per-DOU stat deltas, comm predicate inputs); the next
-        recurrence compiles the capture into a :class:`_RoundPlan`
-        whose replays (:meth:`_lock_replay`) settle whole
-        producer/consumer exchange rounds per iteration - entry-
-        validated by credit/counter equality and per-buffer occupancy
-        windows, with only the genuinely irregular primitives executed
-        and self-validated live.  Any divergence aborts back here with
-        the machine state real and consistent.
+        A signature without a plan here first probes the plans other
+        engines of the same chip structure built
+        (:meth:`_lock_probe`), so a structure that has earned its
+        rounds replays from the first sighting.  Otherwise detection
+        is gated and two-phase, so short regimes build nothing and the
+        steady state pays nothing: every recurrence adds one to the
+        signature's process-wide count for this structure
+        (:meth:`_lock_recurred`); the recurrence that brings it to
+        :data:`LOCKSTEP_ARM_RECURRENCES` *arms* a
+        :class:`_LockRecorder` that captures exactly one round richly
+        (occupancy snapshots, per-DOU stat deltas, comm predicate
+        inputs); the next recurrence compiles the capture into a
+        :class:`_RoundPlan` whose replays (:meth:`_lock_replay`)
+        settle whole producer/consumer exchange rounds per iteration
+        - entry-validated by credit/counter equality and per-buffer
+        occupancy windows, with only the genuinely irregular
+        primitives executed and self-validated live.  Any divergence
+        aborts back here with the machine state real and consistent.
         """
         chip = self.chip
         columns = chip.columns
@@ -1563,7 +1624,9 @@ class CompiledEngine(Engine):
                 if batch is not None or offset == 0:
                     # Lockstep safepoint: replay a cached round for
                     # this anchor, compile one from an armed capture,
-                    # or arm a capture on a recurring signature.
+                    # or count a recurrence and arm a capture once the
+                    # signature has recurred LOCKSTEP_ARM_RECURRENCES
+                    # times on this chip structure.
                     # Attempted at every no-progress orbit batch AND at
                     # every hyperperiod phase boundary: a periodic
                     # *busy* regime (words moving every tick, so no
@@ -1622,10 +1685,12 @@ class CompiledEngine(Engine):
                                     lock_plans[sig] = built
                                     self._lock_share(sig, built, binds)
                         elif sigs.get(sig, tick) < tick:
-                            armed = _LockRecorder(
-                                sig, tick, self._lock_buffers(),
-                                dous, credits,
-                            )
+                            seen = self._lock_recurred(sig)
+                            if seen >= LOCKSTEP_ARM_RECURRENCES:
+                                armed = _LockRecorder(
+                                    sig, tick, seen,
+                                    self._lock_buffers(), dous, credits,
+                                )
                         sigs[sig] = tick
                 if batch is not None:
                     if armed is not None:
@@ -2023,19 +2088,23 @@ class CompiledEngine(Engine):
         except (IndexError, TypeError):
             del _SHARED_LOCK_PLANS[key]
             return None
-        code = _ROUND_CODE_CACHE.get(source)
-        if code is None:
-            if len(_ROUND_CODE_CACHE) >= LOCKSTEP_PLAN_CAP:
-                _ROUND_CODE_CACHE.clear()
-            code = compile(source, "<lockstep-round>", "exec")
-            _ROUND_CODE_CACHE[source] = code
-        namespace = {}
-        exec(code, namespace)
-        plan = _RoundPlan(
-            period, namespace["_make"](binds), adds, source,
-        )
+        make, _compiled = _round_factory(source)
+        plan = _RoundPlan(period, make(binds), adds, source)
         plan.gkey = key
         return plan
+
+    def _lock_recurred(self, sig) -> int:
+        """Count one more recurrence of ``sig`` on this chip structure.
+
+        Returns the process-wide total, which gates recorder arming at
+        :data:`LOCKSTEP_ARM_RECURRENCES`.
+        """
+        key = (self._lock_fingerprint(), sig)
+        seen = _LOCK_RECURRENCES.get(key, 0) + 1
+        if seen == 1 and len(_LOCK_RECURRENCES) >= _SHARED_LOCK_CAP:
+            _LOCK_RECURRENCES.clear()
+        _LOCK_RECURRENCES[key] = seen
+        return seen
 
     def _lock_signature(self, tick: int, period: int):
         """Safepoint fingerprint for lockstep round detection.

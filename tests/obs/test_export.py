@@ -106,6 +106,17 @@ def test_write_chrome_trace_roundtrip(tmp_path):
     assert written["metadata"]["events"] == 4
 
 
+def test_write_chrome_trace_creates_missing_directories(tmp_path):
+    # ``runner --engines --trace DIR/trace.json`` writes the trace only
+    # after the whole timing run; a missing DIR must not lose it.
+    bus = EventBus()
+    builder = bus.subscribe(ChromeTraceBuilder())
+    _emit_sample(bus)
+    target = tmp_path / "missing" / "nested" / "trace.json"
+    write_chrome_trace(target, builder)
+    assert validate_chrome_trace(json.loads(target.read_text())) == []
+
+
 def test_write_refuses_invalid_trace(tmp_path):
     target = tmp_path / "trace.json"
     with pytest.raises(ValueError):
