@@ -265,40 +265,72 @@ class _RoundPlan:
     exactly or aborts at a validated primitive with all applied state
     real.
 
-    ``occ_checks`` holds per-buffer absolute occupancy windows
-    ``(deque, lo, hi)`` compiled from every occupancy predicate the
-    recorded round evaluated, shifted by the buffer's anchor-relative
-    drift: a buffer that only ever had to be *non-empty* tolerates a
-    draining backlog, while one that gated on exactly-empty or
-    exactly-full is pinned.  ``items`` is the event sequence with all
-    frozen-orbit stall accounting, parked-edge charges, credit burns,
-    and no-progress DOU steps folded into precomputed integer deltas;
-    only runner calls, tile-clock edges, and whole-lap transfer
-    vectors touch the machine.  ``adds`` carries the round's profile
-    counter totals, applied when a round completes.
+    ``source`` is the generated round (:func:`_emit_round`), compiled
+    only at the first entry: until :meth:`enter` has seen the entry
+    checks pass, ``fn`` is None.  ``fn(tick, limit, credits)`` returns
+    None for a completed round, or the index of the abort site where
+    it stopped, after which :func:`_round_abort` must finish the tick.
+    The rest is data naming machine objects by index into ``binds``,
+    so the shared plan cache hands it unchanged to every engine of the
+    chip structure: ``entry`` is ``(credits, counter checks,
+    occupancy windows)``; ``sites`` holds one ``(reason, item, offset,
+    steps, acts, first)`` record per abort site in emission order,
+    sites 0-2 being the entry checks; ``fixups[k]`` lists the deferred
+    writes ``((bind, attribute), value)`` that changed since site
+    ``k - 1``.  ``adds`` carries the round's profile counter totals,
+    applied per completed round.
     """
 
-    __slots__ = ("period", "fn", "failures", "adds", "source", "gkey")
+    __slots__ = (
+        "period", "adds", "source", "entry", "sites", "fixups", "binds",
+        "fn", "failures", "gkey",
+    )
 
-    def __init__(self, period, fn, adds, source) -> None:
+    def __init__(
+        self, period, adds, source, entry, sites, fixups, binds,
+    ) -> None:
         self.period = period
-        # The round is compiled to a specialized function (the same
-        # technique the column runner uses for tile code): entry
-        # checks, integer deltas, lap applications, and validated
-        # primitives emitted as straight-line Python with every
-        # machine object and constant bound in a closure.  ``fn``
-        # takes ``(tick, limit, credits)`` and returns
-        # ``(ok, new_tick)``; an abort has still executed real
-        # primitives up to the abort point, so the returned tick is
-        # always real.
-        self.fn = fn
-        self.failures = 0
         self.adds = adds
         self.source = source
+        self.entry = entry
+        self.sites = sites
+        self.fixups = fixups
+        self.binds = binds
+        self.fn = None
+        self.failures = 0
         #: key of this plan's entry in the cross-engine shared plan
         #: cache (None while unshared); used to evict the shared copy
         #: when the local plan is retired for repeated failures.
         self.gkey = None
+
+    def enter(self, tick, credits):
+        """Check a first entry as data and compile the round if it passes.
+
+        Returns None once :attr:`fn` is ready, or the index of the
+        entry site that failed; a round that never enters never pays
+        for ``compile()``.
+        """
+        entry_credits, counter_checks, occ_checks = self.entry
+        binds = self.binds
+        if tuple(credits) != entry_credits:
+            return 0
+        for index, counters in counter_checks:
+            if binds[index].counters != counters:
+                return 1
+        for index, low, high in occ_checks:
+            if not low <= len(binds[index]) <= high:
+                return 2
+        make, compiled = _round_factory(self.source)
+        self.fn = make(binds)
+        if BUS.active:
+            BUS.instant(
+                "lockstep_compile", tick=tick, track="engine",
+                args={
+                    "source_bytes": len(self.source),
+                    "compiled": compiled,
+                },
+            )
+        return None
 
 
 class _LockRecorder:
@@ -309,7 +341,7 @@ class _LockRecorder:
     (``recurrences`` keeps the count); records every dense-loop event
     - with the occupancy snapshots and per-DOU stat deltas the plan
     compiler needs - until the signature recurs, at which point
-    :func:`_build_lock_plan` compiles the round.
+    :func:`_build_lock_plan` builds the round.
     """
 
     __slots__ = (
@@ -327,8 +359,7 @@ class _LockRecorder:
         self.anchor_occ = tuple(map(len, self.deques))
         self.credits = tuple(credits)
         self.counters = tuple(
-            (dou, tuple(dou.counters)) for dou in dous
-            if dou.counters
+            (dou, list(dou.counters)) for dou in dous if dou.counters
         )
         self.items: list = []
 
@@ -369,17 +400,19 @@ class _LockRecorder:
 
 
 def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
-    """Compile an armed recording into ``(plan, binds)``, or None.
+    """Turn an armed recording into a :class:`_RoundPlan`, or None.
 
     Derives, for every occupancy predicate the recorded round
     evaluated (orbit starvation/backpressure classification, parked
     comm columns, no-progress DOU steps), the window of anchor
     occupancies under which the predicate keeps its recorded value,
     then folds all the occupancy-independent effects into integer
-    deltas.  ``plan`` is the :class:`_RoundPlan`; ``binds`` lists its
-    bound machine objects, as :func:`_emit_round` returns them.  None
-    means the recording cannot be expressed as a round.  A built round
-    emits one ``lockstep_build`` instant when the bus is active.
+    deltas.  The round's entry checks - recorded credits, DOU
+    counters, occupancy windows - stay data on the plan, so the first
+    entry can be checked before anything is compiled; the round
+    source is emitted here and compiled only at that first entry.
+    None means the recording cannot be expressed as a round.  A built
+    round emits one ``lockstep_build`` instant when the bus is active.
     """
     raw = recorder.items
     if not raw:
@@ -494,15 +527,11 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
                 if comm_head:
                     fused_calls += 1
                 out.append((
-                    1, cindex, column, column.controller,
-                    runners[cindex], pre_pc, want, post_pc, depth,
+                    1, cindex, column, runners[cindex], pre_pc, want,
+                    post_pc, depth,
                 ))
             else:
-                (_, _, post_pc, halted, pending, depth) = act
-                out.append((
-                    3, cindex, column, column.controller,
-                    runners[cindex], post_pc, halted, pending, depth,
-                ))
+                out.append((3, cindex, column) + act[2:])
         return tuple(out)
 
     for item in raw:
@@ -646,22 +675,18 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
 
     occ_checks = []
     for j in range(n_bufs):
-        if lo[j] == -_OCC_UNBOUNDED and hi[j] == _OCC_UNBOUNDED:
-            continue
-        occ_checks.append((
-            deques[j],
-            anchor[j] + lo[j] if lo[j] > -_OCC_UNBOUNDED else 0,
-            anchor[j] + hi[j] if hi[j] < _OCC_UNBOUNDED
-            else _OCC_UNBOUNDED,
-        ))
+        low = anchor[j] + lo[j] if lo[j] > -_OCC_UNBOUNDED else 0
+        high = anchor[j] + hi[j] if hi[j] < _OCC_UNBOUNDED \
+            else _OCC_UNBOUNDED
+        if low > 0 or high < _OCC_UNBOUNDED:
+            occ_checks.append((deques[j], low, high))
     adds = (
         batch_events, batched_ticks, dense_ticks, parked_edges,
         orbit_laps, fused_calls,
     )
-    merged = tuple(merged)
-    fn, source, binds, compiled = _emit_round(
-        merged, recorder.credits, recorder.counters,
-        tuple(occ_checks), deques, anchor, dividers, runners,
+    source, binds, entry, sites, fixups = _emit_round(
+        tuple(merged), recorder.credits, recorder.counters, occ_checks,
+        deques, anchor, dividers, runners,
     )
     if BUS.active:
         BUS.instant(
@@ -672,180 +697,213 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
                 "recurrences": recorder.recurrences,
                 "primitives": len(merged),
                 "source_bytes": len(source),
-                "compiled": compiled,
             },
         )
-    return _RoundPlan(period, fn, adds, source), binds
+    return _RoundPlan(period, adds, source, entry, sites, fixups, binds)
+
+
+#: The entry-check abort sites every round starts with, in check order
+#: (see :meth:`_RoundPlan.enter`); they owe no fixup and run nothing.
+_ENTRY_SITES = (
+    ("credits", 0, 0, (), (), 0),
+    ("counters", 0, 0, (), (), 0),
+    ("occupancy", 0, 0, (), (), 0),
+)
 
 
 def _emit_round(
     items, entry_credits, counter_checks, occ_checks, deques, anchor,
     dividers, runners,
 ):
-    """Emit one round as specialized Python and compile it.
+    """Emit one round's hot path as specialized Python source.
 
     Same technique the column runner uses for tile code: every machine
     object (DOU, bus, column, controller, runner, buffer deque, lap
     plan) is bound once in an enclosing scope and every recorded
-    constant is folded into the source, so a replayed round runs with
-    no dispatch, no tuple unpacking, and no per-action call overhead.
-    Returns ``(fn, source, binds, compiled)`` where
-    ``fn(tick, limit, credits)`` -> ``(ok, new_tick)``, ``binds`` is
-    the bound-object list in bind-name order (the shared plan cache
-    re-resolves it on another engine of the same chip structure), and
-    ``compiled`` says whether ``compile()`` ran (False: the source was
-    already in :data:`_ROUND_CODE_CACHE`).
+    constant is folded into the source.  Only the recorded path is
+    code.  Each validated primitive is one ``if <diverged>: return
+    <site>`` line; what the dense loop would do with the rest of that
+    tick (generic clock edges, single steps of the DOUs not yet
+    stepped) is data on the site record, run by :func:`_round_abort`.
+    The counters the folded primitives only ever increment
+    (``cycles``, ``blocked_cycles``, ``words_moved``,
+    ``cycles_with_traffic``, ``tile_cycles``, ``comm_stalls``) are
+    summed here and written once, at round end; a DOU's folded
+    ``state_index`` and ``counters`` are written just before it is
+    really stepped, or at round end.  Each abort site gets a fixup
+    with exactly the writes owed there - the deoptimization records a
+    JIT keeps at its safepoints - delta-encoded against the previous
+    site.  The body never advances ``tick``: sites carry their offset.
+
+    Returns ``(source, binds, entry, sites, fixups)`` as
+    :class:`_RoundPlan` keeps them, ``binds`` in bind-name order.
     """
     binds = []
-    bind_names = []
-    names = {}
+    names = []
+    index_of = {}
+
+    def bind(obj, prefix):
+        index = index_of.get(id(obj))
+        if index is None:
+            index = len(binds)
+            index_of[id(obj)] = index
+            binds.append(obj)
+            names.append("%s%d" % (prefix, index))
+        return index
 
     def nm(obj, prefix):
-        key = id(obj)
-        name = names.get(key)
-        if name is None:
-            name = "%s%d" % (prefix, len(binds))
-            names[key] = name
-            binds.append(obj)
-            bind_names.append(name)
-        return name
+        return names[bind(obj, prefix)]
 
     body = []
+    w = body.append
+    sites = list(_ENTRY_SITES)
+    fixups = [()] * len(sites)
+    # The deferred-write ledger.  A slot is ``(bind, attribute)``, the
+    # attribute a counter name, "state_index", or a DOU counter index.
+    owed = {}       # slot -> sum owed, or value owed (None: nothing)
+    dirty = {}      # slots whose owed value changed since the last site
+    recorded = {}   # slot -> owed value as the fixups stand
+    set_slots = {}  # DOU bind -> its state/counter slots
 
-    def w(depth, text):
-        body.append("    " * depth + text)
+    def add(obj, prefix, attr, n):
+        if n:
+            slot = (bind(obj, prefix), attr)
+            owed[slot] = owed.get(slot, 0) + n
+            dirty[slot] = None
 
-    def emit_generic_edge(depth, cindex, column, runner):
-        # The dense loop's fallback for one clock edge: burn a credit,
-        # else let the runner pre-execute, else single-step the tile
-        # clock.  Keeps an off-plan tick consistent before the abort.
-        w(depth, "if credits[%d]:" % cindex)
-        w(depth + 1, "credits[%d] -= 1" % cindex)
-        if runner is not None:
-            div = dividers[cindex]
-            w(depth, "else:")
-            w(depth + 1, "consumed = %s.run_edges((limit - tick + %d) // %d)"
-              % (nm(runner, "rn"), div, div))
-            w(depth + 1, "if consumed:")
-            w(depth + 2, "credits[%d] = consumed - 1" % cindex)
-            w(depth + 1, "else:")
-            w(depth + 2, "%s.step_tile_clock()" % nm(column, "c"))
-        else:
-            w(depth, "else:")
-            w(depth + 1, "%s.step_tile_clock()" % nm(column, "c"))
+    def put(dou, attr, value):
+        slot = (bind(dou, "d"), attr)
+        if slot not in owed:
+            set_slots.setdefault(slot[0], []).append(slot)
+        owed[slot] = value
+        dirty[slot] = None
 
-    def emit_acts(depth, acts):
+    def flush(index):
+        # Write what a DOU's state and counters are owed: before it is
+        # really stepped, and at round end.
+        for slot in set_slots.get(index, ()):
+            value = owed[slot]
+            if value is not None:
+                if slot[1] == "state_index":
+                    w("%s.state_index = %d" % (names[index], value))
+                else:
+                    w("%s.counters[%d] = %d"
+                      % (names[index], slot[1], value))
+                owed[slot] = None
+                dirty[slot] = None
+
+    def abort(cond, reason, item, offset, steps=(), acts=(), first=0):
+        delta = []
+        for slot in dirty:
+            value = owed[slot]
+            if value != recorded.get(slot):
+                recorded[slot] = value
+                delta.append((slot, value))
+        dirty.clear()
+        sites.append((reason, item, offset, steps, acts, first))
+        fixups.append(tuple(delta))
+        w("if %s: return %d" % (cond, len(sites) - 1))
+
+    def fold(dou, cycles, blocked, words, traffic, state, sets=()):
+        add(dou, "d", "cycles", cycles)
+        add(dou, "d", "blocked_cycles", blocked)
+        add(dou.bus, "b", "words_moved", words)
+        add(dou.bus, "b", "cycles_with_traffic", traffic)
+        put(dou, "state_index", state)
+        for index, value in sets:
+            put(dou, index, value)
+
+    def plus(value):
+        if value:
+            return " %s %d" % ("+" if value > 0 else "-", abs(value))
+        return ""
+
+    def cold_acts(acts):
+        # The generic fallback per act, for the abort helper: generic
+        # edges (credit, runner, tile clock) for credit and runner
+        # acts, credit-or-tile-clock for plain steps.
+        cold = []
         for act in acts:
+            runner = runners[act[1]]
+            cold.append((
+                act[0] != 3, act[1], bind(act[2], "c"),
+                None if runner is None else bind(runner, "rn"),
+                dividers[act[1]],
+            ))
+        return tuple(cold)
+
+    def emit_acts(acts, cold, item, offset):
+        for position, act in enumerate(acts):
             kind = act[0]
             cindex = act[1]
-            column = act[2]
-            cn = nm(column, "c")
-            w(depth, "if %s.halted:" % cn)
-            w(depth + 1, "fail = True")
+            tn = nm(act[2].controller, "ct")
             if kind == 0:
-                w(depth, "elif credits[%d]:" % cindex)
-                w(depth + 1, "credits[%d] -= 1" % cindex)
-                w(depth, "else:")
-                w(depth + 1, "fail = True")
-                emit_generic_edge(depth + 1, cindex, column,
-                                  runners[cindex])
+                abort("%s.halted or not credits[%d]" % (tn, cindex),
+                      "edge", item, offset, (), cold, position)
+                w("credits[%d] -= 1" % cindex)
             elif kind == 1:
-                (_, _, _, ctrl, runner, pre_pc, want, post_pc,
-                 depth_rec) = act
-                tn = nm(ctrl, "ct")
-                div = dividers[cindex]
-                w(depth,
-                  "elif credits[%d] == 0 and %s.pc == %d "
-                  "and %s._pending is None "
-                  "and not %s._stall_pending:"
-                  % (cindex, tn, pre_pc, tn, tn))
+                (_, _, _, runner, pre_pc, want, post_pc, depth) = act
+                abort("credits[%d] or %s.halted or %s.pc != %d "
+                      "or %s._pending is not None or %s._stall_pending"
+                      % (cindex, tn, tn, pre_pc, tn, tn),
+                      "edge", item, offset, (), cold, position)
                 # Same budget formula as the dense loop: a tighter cap
                 # (e.g. exactly ``want``) would stop the runner before
                 # folding a loop-end branch the recording folded into
-                # its last edge.
-                w(depth + 1,
-                  "consumed = %s.run_edges((limit - tick + %d) // %d)"
-                  % (nm(runner, "rn"), div, div))
-                w(depth + 1, "if consumed:")
-                w(depth + 2, "credits[%d] = consumed - 1" % cindex)
-                w(depth + 1, "else:")
-                w(depth + 2, "%s.step_tile_clock()" % cn)
-                w(depth + 1,
-                  "if consumed != %d or %s.pc != %d "
-                  "or len(%s._loop_stack) != %d:"
-                  % (want, tn, post_pc, tn, depth_rec))
-                w(depth + 2, "fail = True")
-                w(depth, "else:")
-                w(depth + 1, "fail = True")
-                emit_generic_edge(depth + 1, cindex, column,
-                                  runners[cindex])
+                # its last edge.  The dense loop's credit update, with
+                # a runner that consumed nothing left at -1 for the
+                # abort helper to finish.
+                div = dividers[cindex]
+                w("credits[%d] = %s.run_edges((limit - tick%s) // %d) - 1"
+                  % (cindex, nm(runner, "rn"), plus(div - offset), div))
+                abort("credits[%d] != %d or %s.pc != %d "
+                      "or len(%s._loop_stack) != %d"
+                      % (cindex, want - 1, tn, post_pc, tn, depth),
+                      "edge", item, offset, (), cold, position + 1)
             else:
-                (_, _, _, ctrl, runner, post_pc, halted, pending,
-                 depth_rec) = act
-                tn = nm(ctrl, "ct")
-                w(depth, "elif credits[%d]:" % cindex)
-                w(depth + 1, "credits[%d] -= 1" % cindex)
-                w(depth + 1, "fail = True")
-                w(depth, "else:")
+                (_, _, _, post_pc, halted, pending, depth) = act
+                abort("credits[%d] or %s.halted" % (cindex, tn),
+                      "edge", item, offset, (), cold, position)
                 # No speculative runner call: refusal is determined by
                 # control state (validated) except at a comm head,
                 # where step_tile_clock applies the identical
                 # buffer-gated semantics directly - a divergence from
                 # the recorded outcome shows up in these post checks.
-                w(depth + 1, "%s.step_tile_clock()" % cn)
-                halt_check = ("or not %s.halted " % cn) if halted \
-                    else ("or %s.halted " % cn)
-                pend_check = ("or %s._pending is None " % tn) if pending \
-                    else ("or %s._pending is not None " % tn)
-                w(depth + 1,
-                  "if (%s.pc != %d %s%sor len(%s._loop_stack) != %d):"
-                  % (tn, post_pc, halt_check, pend_check, tn,
-                     depth_rec))
-                w(depth + 2, "fail = True")
-
-    def emit_arith(depth, op, k):
-        (_, dou, blocked_d, bus_words_d, bus_traffic_d, state_post,
-         counter_sets) = op
-        dn = nm(dou, "d")
-        w(depth, "%s.cycles += %d" % (dn, k))
-        if blocked_d:
-            w(depth, "%s.blocked_cycles += %d" % (dn, blocked_d))
-        if bus_words_d or bus_traffic_d:
-            bn = nm(dou.bus, "b")
-            if bus_words_d:
-                w(depth, "%s.words_moved += %d" % (bn, bus_words_d))
-            if bus_traffic_d:
-                w(depth, "%s.cycles_with_traffic += %d"
-                  % (bn, bus_traffic_d))
-        w(depth, "%s.state_index = %d" % (dn, state_post))
-        for index, value in counter_sets:
-            w(depth, "%s.counters[%d] = %d" % (dn, index, value))
+                w("%s.step_tile_clock()" % nm(act[2], "c"))
+                abort("%s.pc != %d or %s%s.halted or %s._pending is %sNone "
+                      "or len(%s._loop_stack) != %d"
+                      % (tn, post_pc, "not " if halted else "", tn, tn,
+                         "" if pending else "not ", tn, depth),
+                      "edge", item, offset, (), cold, position + 1)
 
     # --- entry checks -------------------------------------------------
-    cond = " or ".join(
-        "credits[%d] != %d" % (i, c)
-        for i, c in enumerate(entry_credits)
-    )
-    if cond:
-        w(0, "if %s:" % cond)
-        w(1, "return False, tick")
-    for dou, counters in counter_checks:
-        w(0, "if %s.counters != %r:" % (nm(dou, "d"), list(counters)))
-        w(1, "return False, tick")
+    w("if %s: return 0" % " or ".join(
+        "credits[%d] != %d" % (i, c) for i, c in enumerate(entry_credits)
+    ))
+    if counter_checks:
+        w("if %s: return 1" % " or ".join(
+            "%s.counters != %r" % (nm(dou, "d"), counters)
+            for dou, counters in counter_checks
+        ))
+    conds = []
     for words, low, high in occ_checks:
         qn = nm(words, "q")
-        unbounded_hi = high >= _OCC_UNBOUNDED
-        if unbounded_hi and low <= 0:
-            continue
-        if unbounded_hi:
-            w(0, "if len(%s) < %d:" % (qn, low))
+        if high >= _OCC_UNBOUNDED:
+            conds.append("len(%s) < %d" % (qn, low))
         elif low <= 0:
-            w(0, "if len(%s) > %d:" % (qn, high))
+            conds.append("len(%s) > %d" % (qn, high))
         elif low == high:
-            w(0, "if len(%s) != %d:" % (qn, low))
+            conds.append("len(%s) != %d" % (qn, low))
         else:
-            w(0, "if not %d <= len(%s) <= %d:" % (low, qn, high))
-        w(1, "return False, tick")
+            conds.append("not %d <= len(%s) <= %d" % (low, qn, high))
+    if conds:
+        w("if %s: return 2" % " or ".join(conds))
+    entry = (
+        tuple(entry_credits),
+        tuple((bind(dou, "d"), counters) for dou, counters in counter_checks),
+        tuple((bind(words, "q"), low, high)
+              for words, low, high in occ_checks),
+    )
     # Entry occupancies for every buffer some post-tick check compares
     # against (drift-adjusted: expected = entry + recorded delta).
     post_union = set()
@@ -853,100 +911,57 @@ def _emit_round(
         if item[0] == 1 and item[2] is not None:
             for j, _expect in item[2]:
                 post_union.add(j)
-    entry_var = {}
     for j in sorted(post_union):
-        var = "n%d" % j
-        entry_var[j] = var
-        w(0, "%s = len(%s)" % (var, nm(deques[j], "q")))
+        w("n%d = len(%s)" % (j, nm(deques[j], "q")))
 
     # --- the round body -----------------------------------------------
-    for item in items:
+    offset = 0
+    for index, item in enumerate(items):
         tag = item[0]
         if tag == 0:
             _, span, cyc_dous, dou_fx, charges, burns, acts = item
             for dou in cyc_dous:
-                w(0, "%s.cycles += %d" % (nm(dou, "d"), span))
+                add(dou, "d", "cycles", span)
             for dou, blocked, bus_words, bus_traffic, end in dou_fx:
-                dn = nm(dou, "d")
-                w(0, "%s.cycles += %d" % (dn, span))
-                if blocked:
-                    w(0, "%s.blocked_cycles += %d" % (dn, blocked))
-                if bus_words:
-                    bn = nm(dou.bus, "b")
-                    w(0, "%s.words_moved += %d" % (bn, bus_words))
-                    w(0, "%s.cycles_with_traffic += %d"
-                      % (bn, bus_traffic))
-                w(0, "%s.state_index = %d" % (dn, end))
-            for column, owed in charges:
-                cn = nm(column, "c")
-                w(0, "%s.tile_cycles += %d" % (cn, owed))
-                w(0, "%s.comm_stalls += %d" % (cn, owed))
+                fold(dou, span, blocked, bus_words, bus_traffic, end)
+            for column, owed_edges in charges:
+                add(column, "c", "tile_cycles", owed_edges)
+                add(column, "c", "comm_stalls", owed_edges)
             for cindex, burn in burns:
-                w(0, "credits[%d] -= %d" % (cindex, burn))
-            w(0, "tick += %d" % span)
+                w("credits[%d] -= %d" % (cindex, burn))
+            offset += span
             if acts:
-                w(0, "fail = False")
-                emit_acts(0, acts)
-                w(0, "if fail:")
-                w(1, "return False, tick")
+                emit_acts(acts, cold_acts(acts), index, offset)
         elif tag == 1:
+            # A lap or real step that diverges aborts into the helper,
+            # which single-steps every machine after it, then runs the
+            # tick's clock edges generically - all applied state real.
             _, ops, post_check, acts = item
-            divergent = any(op[0] != 1 for op in ops)
-            if divergent:
-                # A lap or real step that diverges finishes the tick
-                # generically (every remaining machine single-steps),
-                # still runs the clock-edge actions, and aborts - all
-                # applied state is real.
-                w(0, "bad = False")
-                w(0, "while True:")
-                for pos, op in enumerate(ops):
-                    kind = op[0]
-                    dou = op[1]
-                    dn = nm(dou, "d")
-                    if kind == 1:
-                        emit_arith(1, op, 1)
-                        continue
-                    if kind == 0:
-                        w(1, "if not %s.apply_laps(%s, 1):"
-                          % (dn, nm(op[2], "lap")))
-                    else:
-                        w(1, "if %s.step() != %d:" % (dn, op[2]))
-                    if kind == 0:
-                        w(2, "%s.step()" % dn)
-                    for later in ops[pos + 1:]:
-                        w(2, "%s.step()" % nm(later[1], "d"))
-                    w(2, "bad = True")
-                    w(2, "break")
-                w(1, "break")
-                w(0, "tick += 1")
-            else:
-                for op in ops:
-                    emit_arith(0, op, 1)
-                w(0, "tick += 1")
-            if post_check is not None:
-                cond = " or ".join(
-                    "len(%s) != %s%s" % (
-                        nm(deques[j], "q"), entry_var[j],
-                        " + %d" % (expect - anchor[j])
-                        if expect > anchor[j]
-                        else (" - %d" % (anchor[j] - expect)
-                              if expect < anchor[j] else ""),
-                    )
-                    for j, expect in post_check
-                )
-                w(0, "if not bad and (%s):" % cond)
-                w(1, "bad = True")
-            if acts:
-                w(0, "fail = False")
-                emit_acts(0, acts)
-                if divergent:
-                    w(0, "if bad or fail:")
+            offset += 1
+            cold = cold_acts(acts)
+            for pos, op in enumerate(ops):
+                if op[0] == 1:
+                    fold(op[1], 1, *op[2:])
+                    continue
+                later = tuple(bind(other[1], "d") for other in ops[pos + 1:])
+                if op[0] == 0:
+                    dn = nm(op[1], "d")
+                    abort("not %s.apply_laps(%s, 1)"
+                          % (dn, nm(op[2], "lap")),
+                          "divergence", index, offset,
+                          (bind(op[1], "d"),) + later, cold)
                 else:
-                    w(0, "if fail:")
-                w(1, "return False, tick")
-            elif divergent:
-                w(0, "if bad:")
-                w(1, "return False, tick")
+                    flush(bind(op[1], "d"))
+                    abort("%s.step() != %d" % (nm(op[1], "d"), op[2]),
+                          "divergence", index, offset, later, cold)
+            if post_check is not None:
+                abort(" or ".join(
+                    "len(%s) != n%d%s"
+                    % (nm(deques[j], "q"), j, plus(expect - anchor[j]))
+                    for j, expect in post_check
+                ), "post_check", index, offset, (), cold)
+            if acts:
+                emit_acts(acts, cold, index, offset)
         else:
             # Merged run of identical edge-free compiled ticks: guards
             # aggregated over all K laps up front, so an abort lands
@@ -963,26 +978,81 @@ def _emit_round(
                     guards.append("len(%s) > %d"
                                   % (nm(words, "q"), capacity - k))
             if guards:
-                w(0, "if %s:" % " or ".join(guards))
-                w(1, "return False, tick")
+                abort(" or ".join(guards), "lap_guard", index, offset)
             for op in ops:
                 if op[0] == 0:
-                    w(0, "%s.apply_laps(%s, %d)"
+                    w("%s.apply_laps(%s, %d)"
                       % (nm(op[1], "d"), nm(op[2], "lap"), k))
                 else:
-                    emit_arith(0, op, k)
-            w(0, "tick += %d" % k)
-    w(0, "return True, tick")
+                    fold(op[1], k, *op[2:])
+            offset += k
+    # --- round end: every deferred write, once --------------------------
+    for index in set_slots:
+        flush(index)
+    for slot, value in owed.items():
+        if isinstance(slot[1], str) and slot[1] != "state_index":
+            w("%s.%s += %d" % (names[slot[0]], slot[1], value))
 
     lines = ["def _make(B):"]
-    for i, name in enumerate(bind_names):
-        lines.append("    %s = B[%d]" % (name, i))
+    if names:
+        lines.append("    %s, = B" % ", ".join(names))
     lines.append("    def _round(tick, limit, credits):")
     lines.extend("        " + line for line in body)
     lines.append("    return _round")
-    source = "\n".join(lines)
-    make, compiled = _round_factory(source)
-    return make(binds), source, binds, compiled
+    return (
+        "\n".join(lines), tuple(binds), entry, tuple(sites),
+        tuple(fixups),
+    )
+
+
+def _round_abort(plan, site, tick, limit, credits):
+    """Finish the tick of a round (started at ``tick``) that stopped at
+    abort ``site``; returns the tick the machine is at.
+
+    Applies the site's fixup, then does what the dense loop would have
+    done with the rest of the tick: completes a runner act that
+    consumed no edge with its tile-clock step, single-steps the DOUs a
+    divergent tick had not stepped yet, and runs the remaining clock
+    edges generically.  Every statistic is real afterwards.
+    """
+    binds = plan.binds
+    owed = {}
+    for delta in plan.fixups[:site + 1]:
+        owed.update(delta)
+    for (index, attr), value in owed.items():
+        if value is None:
+            continue
+        target = binds[index]
+        if isinstance(attr, int):
+            target.counters[attr] = value
+        elif attr == "state_index":
+            target.state_index = value
+        else:
+            setattr(target, attr, getattr(target, attr) + value)
+    _reason, _item, offset, steps, acts, first = plan.sites[site]
+    for _generic, cindex, column, _runner, _divider in acts[:first]:
+        if credits[cindex] < 0:
+            credits[cindex] = 0
+            binds[column].step_tile_clock()
+    for index in steps:
+        binds[index].step()
+    tick += offset
+    for generic, cindex, column, runner, divider in acts[first:]:
+        column = binds[column]
+        if column.halted:
+            continue
+        if credits[cindex]:
+            credits[cindex] -= 1
+            continue
+        if generic and runner is not None:
+            edges = binds[runner].run_edges(
+                (limit - tick + divider) // divider
+            )
+            if edges:
+                credits[cindex] = edges - 1
+                continue
+        column.step_tile_clock()
+    return tick
 
 
 def _round_factory(source):
@@ -1512,7 +1582,7 @@ class CompiledEngine(Engine):
         :data:`LOCKSTEP_ARM_RECURRENCES` *arms* a
         :class:`_LockRecorder` that captures exactly one round richly
         (occupancy snapshots, per-DOU stat deltas, comm predicate
-        inputs); the next recurrence compiles the capture into a
+        inputs); the next recurrence builds the capture into a
         :class:`_RoundPlan` whose replays (:meth:`_lock_replay`)
         settle whole producer/consumer exchange rounds per iteration
         - entry-validated by credit/counter equality and per-buffer
@@ -1623,7 +1693,7 @@ class CompiledEngine(Engine):
                     batch = None
                 if batch is not None or offset == 0:
                     # Lockstep safepoint: replay a cached round for
-                    # this anchor, compile one from an armed capture,
+                    # this anchor, build one from an armed capture,
                     # or count a recurrence and arm a capture once the
                     # signature has recurred LOCKSTEP_ARM_RECURRENCES
                     # times on this chip structure.
@@ -1678,12 +1748,11 @@ class CompiledEngine(Engine):
                                 )
                                 armed = None
                                 if built is not None:
-                                    built, binds = built
                                     if (len(lock_plans)
                                             > LOCKSTEP_PLAN_CAP):
                                         lock_plans.clear()
                                     lock_plans[sig] = built
-                                    self._lock_share(sig, built, binds)
+                                    self._lock_share(sig, built)
                         elif sigs.get(sig, tick) < tick:
                             seen = self._lock_recurred(sig)
                             if seen >= LOCKSTEP_ARM_RECURRENCES:
@@ -2059,11 +2128,11 @@ class CompiledEngine(Engine):
             return self.chip.columns[path[1]].controller
         return self._runners[path[1]]
 
-    def _lock_share(self, sig, plan, binds) -> None:
+    def _lock_share(self, sig, plan) -> None:
         """Publish a freshly built plan to the shared cache."""
         path_of = self._lock_paths()
         paths = []
-        for obj in binds:
+        for obj in plan.binds:
             path = path_of.get(id(obj))
             if path is None:
                 return  # an unmapped bind: keep the plan engine-local
@@ -2072,24 +2141,29 @@ class CompiledEngine(Engine):
             _SHARED_LOCK_PLANS.clear()
         key = (self._lock_fingerprint(), sig)
         _SHARED_LOCK_PLANS[key] = (
-            plan.source, tuple(paths), plan.adds, plan.period,
+            tuple(paths), plan.period, plan.adds, plan.source,
+            plan.entry, plan.sites, plan.fixups,
         )
         plan.gkey = key
 
     def _lock_probe(self, sig):
-        """Rebind a shared plan for ``sig``, or None on a miss."""
+        """Rebind a shared plan for ``sig``, or None on a miss.
+
+        The plan comes back uncompiled, like a freshly built one: its
+        first entry compiles it (from :data:`_ROUND_CODE_CACHE`, in
+        the common case that the publishing engine already did).
+        """
         key = (self._lock_fingerprint(), sig)
         entry = _SHARED_LOCK_PLANS.get(key)
         if entry is None:
             return None
-        source, paths, adds, period = entry
+        paths, period, adds, source, checks, sites, fixups = entry
         try:
-            binds = [self._lock_resolve(path) for path in paths]
+            binds = tuple(self._lock_resolve(path) for path in paths)
         except (IndexError, TypeError):
             del _SHARED_LOCK_PLANS[key]
             return None
-        make, _compiled = _round_factory(source)
-        plan = _RoundPlan(period, make(binds), adds, source)
+        plan = _RoundPlan(period, adds, source, checks, sites, fixups, binds)
         plan.gkey = key
         return plan
 
@@ -2135,18 +2209,29 @@ class CompiledEngine(Engine):
     def _lock_replay(self, plan, tick, limit, credits, profile):
         """Replay as many whole recorded rounds as fit before *limit*.
 
-        Returns ``(tick, rounds)``.  A round that aborts midway has
-        still executed real primitives up to the abort point, so the
-        partially advanced tick is always kept.
+        Returns ``(tick, rounds)``.  An uncompiled plan first checks
+        its entry as data (:meth:`_RoundPlan.enter`) and compiles only
+        if that passes, so a round that never enters costs no
+        ``compile()``.  A round that aborts midway has still executed
+        real primitives up to the abort point and finished the tick
+        generically, so the partially advanced tick is always kept.
+        With a sink subscribed, the replay or abort instant names the
+        abort site that ended it (``reason``, ``item``), or ``reason``
+        "limit" when the window ran out first.
         """
         rounds = 0
         period = plan.period
-        fn = plan.fn
-        while tick + period <= limit:
-            ok, tick = fn(tick, limit, credits)
-            if not ok:
-                break
-            rounds += 1
+        site = None if plan.fn is not None else plan.enter(tick, credits)
+        if site is None:
+            fn = plan.fn
+            while tick + period <= limit:
+                site = fn(tick, limit, credits)
+                if site is not None:
+                    break
+                tick += period
+                rounds += 1
+        if site is not None:
+            tick = _round_abort(plan, site, tick, limit, credits)
         if rounds:
             profile["lockstep_batches"] += rounds
             adds = plan.adds
@@ -2157,20 +2242,18 @@ class CompiledEngine(Engine):
             profile["orbit_laps"] += adds[4] * rounds
             profile["fused_runner_calls"] += adds[5] * rounds
         if BUS.active:
+            args = {"round_ticks": period}
             if rounds:
-                BUS.instant(
-                    "lockstep_replay", tick=tick, track="engine",
-                    args={
-                        "rounds": rounds,
-                        "round_ticks": period,
-                        "orbit_laps": plan.adds[4] * rounds,
-                    },
-                )
+                args["rounds"] = rounds
+                args["orbit_laps"] = plan.adds[4] * rounds
+            if site is None:
+                args["reason"] = "limit"
             else:
-                BUS.instant(
-                    "lockstep_abort", tick=tick, track="engine",
-                    args={"round_ticks": period},
-                )
+                args["reason"], args["item"] = plan.sites[site][:2]
+            BUS.instant(
+                "lockstep_replay" if rounds else "lockstep_abort",
+                tick=tick, track="engine", args=args,
+            )
         return tick, rounds
 
     # ------------------------------------------------------------------

@@ -21,7 +21,11 @@ tier:
 * a recorder arms only once a signature has recurred
   ``LOCKSTEP_ARM_RECURRENCES`` times on a chip structure, so a short
   regime compiles nothing until re-runs of the same structure have
-  proved it recurs.
+  proved it recurs;
+* a built round compiles at its first entry, exactly once per source
+  (a round that never enters compiles nothing), and a round that
+  stops mid-way settles exactly the writes its generated code had
+  deferred, under external perturbation between windows.
 
 Every case is differential against the reference engine.  Tests that
 assert engagement start from empty process-wide lockstep tables, so
@@ -29,6 +33,8 @@ no count or plan left by an earlier test can decide the outcome.
 """
 
 import builtins
+import random
+import re
 
 import pytest
 
@@ -39,24 +45,22 @@ from repro.control import Governor, TransitionModel, run_governed
 from repro.isa.assembler import assemble
 from repro.sim import engine as engine_module
 from repro.obs import subscribed
-from repro.sim.engine import LOCKSTEP_ARM_RECURRENCES, CompiledEngine
+from repro.sim.engine import (
+    LOCKSTEP_ARM_RECURRENCES, CompiledEngine, ReferenceEngine,
+)
 from repro.sim.simulator import Simulator
+from repro.sim.stats import collect
 
 #: Signatures of a streaming pair this short recur fewer than
 #: LOCKSTEP_ARM_RECURRENCES times in one run, but recur.
 SHORT_SAMPLES = 8
 
 
-def build_streaming_pair(
-    samples: int = 96, capacity: int = 8,
-    dividers: tuple = (4, 2),
-) -> Chip:
-    """Producer column streaming into a consumer column.
+def streaming_programs(samples: int) -> tuple:
+    """Producer and consumer column programs plus their DOU programs.
 
     The producer loads, scales, and SENDs one word per iteration; the
-    consumer RECVs and accumulates.  Both loops are long enough for
-    the periodic steady state to recur at many hyperperiod
-    boundaries, which is the shape the lockstep recorder needs.
+    consumer RECVs and accumulates.
     """
     producer = assemble(f"""
         tmask 0x1
@@ -83,6 +87,20 @@ def build_streaming_pair(
         [[Transfer(src=PORT_POSITION, dsts=(0, 1, 2, 3))]],
         name="fan-out",
     )
+    return producer, consumer, to_port, fan_out
+
+
+def build_streaming_pair(
+    samples: int = 96, capacity: int = 8,
+    dividers: tuple = (4, 2),
+) -> Chip:
+    """Producer column streaming into a consumer column.
+
+    Both loops are long enough for the periodic steady state to recur
+    at many hyperperiod boundaries, which is the shape the lockstep
+    recorder needs.
+    """
+    producer, consumer, to_port, fan_out = streaming_programs(samples)
     horizontal = compile_schedule(
         [[Transfer(src=0, dsts=(1,))]], n_positions=2, name="hbus"
     )
@@ -102,6 +120,73 @@ def build_streaming_pair(
         0, list(range(1, samples + 1))
     )
     return chip
+
+
+def build_fed_stream(dividers: tuple = (8, 4, 8)) -> Chip:
+    """The streaming pair plus a halted third column whose DOU streams
+    tile 0's write buffer into tile 1's read buffer.
+
+    Nothing on the chip feeds or drains that stream: the test tops it
+    up between windows (:func:`feed_stream`), so the DOU moves one
+    word per tick through edge-free stretches - merged lap runs, the
+    only rounds with lap guards - until the backlog runs dry mid-round.
+    """
+    samples = 400
+    producer, consumer, to_port, fan_out = streaming_programs(samples)
+    stream = compile_schedule(
+        [[Transfer(src=0, dsts=(1,))]], name="stream"
+    )
+    config = ChipConfig(
+        reference_mhz=512.0,
+        columns=tuple(ColumnConfig(divider=d) for d in dividers),
+        buffer_capacity=64,
+        strict_schedules=False,
+    )
+    chip = Chip(
+        config,
+        programs=[producer, consumer, assemble("halt", "parked")],
+        dou_programs=[to_port, fan_out, stream],
+        horizontal_dou=compile_schedule(
+            [[Transfer(src=0, dsts=(1,))]], n_positions=3, name="hbus"
+        ),
+    )
+    chip.columns[0].tiles[0].load_memory(0, list(range(1, samples + 1)))
+    return chip
+
+
+def feed_stream(chip: Chip, words: int) -> None:
+    """Drain the fed stream's sink and queue ``words`` more words."""
+    source = chip.columns[2].tiles[0].write_buffer
+    sink = chip.columns[2].tiles[1].read_buffer
+    while len(sink):
+        sink.pop()
+    for _ in range(min(words, source.capacity - len(source))):
+        source.push(5)
+
+
+def perturbed_differential(build, perturb, window: int) -> set:
+    """Reference and compiled engines advanced window by window, the
+    same perturbation applied to both chips between windows; every
+    statistic must agree after every window.  Returns the
+    ``(event, reason)`` pairs the lockstep instants reported."""
+    chips = (build(), build())
+    engines = (ReferenceEngine(chips[0]), CompiledEngine(chips[1]))
+    reasons = set()
+
+    def collect_reasons(event):
+        if event.name in ("lockstep_abort", "lockstep_replay"):
+            reasons.add((event.name, event.args["reason"]))
+
+    with subscribed(collect_reasons):
+        for index in range(400):
+            for engine in engines:
+                engine.advance(window)
+            assert collect(chips[1]) == collect(chips[0]), index
+            if chips[0].all_halted:
+                break
+            perturb(index, chips)
+    assert chips[0].all_halted
+    return reasons
 
 
 @pytest.fixture
@@ -373,15 +458,19 @@ def test_lockstep_build_instant_per_built_plan():
     """Each built round emits one deterministic ``lockstep_build``.
 
     The instant carries the round length, the recurrence count that
-    armed it, the emitted primitive and source-byte counts, and
-    whether ``compile()`` ran: a rebuild of an evicted plan finds its
-    source in the code cache and compiles nothing.
+    armed it, and the emitted primitive and source-byte counts.  The
+    ``lockstep_compile`` instant at a round's first entry says whether
+    ``compile()`` ran: a rebuild of an evicted plan finds its source in
+    the code cache and compiles nothing.
     """
     builds = []
+    compiles = []
 
     def collect(event):
         if event.name == "lockstep_build":
             builds.append(event)
+        elif event.name == "lockstep_compile":
+            compiles.append(event)
 
     engine = CompiledEngine(build_streaming_pair())
     with subscribed(collect):
@@ -399,6 +488,13 @@ def test_lockstep_build_instant_per_built_plan():
         assert event.track == "engine"
         assert event.args["recurrences"] == LOCKSTEP_ARM_RECURRENCES
         assert event.args["primitives"] > 0
+        assert "compiled" not in event.args
+    assert compiles
+    assert {event.args["source_bytes"] for event in compiles} <= {
+        event.args["source_bytes"] for event in builds
+    }
+    for event in compiles:
+        assert event.track == "engine"
         assert event.args["compiled"] is True
 
     # Evict the shared plans: the counts already pass the gate, so the
@@ -406,10 +502,208 @@ def test_lockstep_build_instant_per_built_plan():
     # source without compiling it.
     engine_module._SHARED_LOCK_PLANS.clear()
     first_run = len(builds)
+    first_compiles = len(compiles)
     again = CompiledEngine(build_streaming_pair())
     with subscribed(collect):
         again.run(max_ticks=100_000)
     assert len(builds) > first_run
     for event in builds[first_run:]:
         assert event.args["recurrences"] > LOCKSTEP_ARM_RECURRENCES
+    assert len(compiles) > first_compiles
+    for event in compiles[first_compiles:]:
         assert event.args["compiled"] is False
+
+
+# ----------------------------------------------------------------------
+# the emitted round: compile at first entry, exact fixups, shape
+# ----------------------------------------------------------------------
+@pytest.mark.usefixtures("fresh_lockstep_tables")
+def test_round_that_never_enters_compiles_nothing(
+    monkeypatch, round_compiles,
+):
+    """A built round whose entry checks never pass is never compiled.
+
+    Every built plan gets an entry credit tuple no machine can hold,
+    so each replay attempt fails its first check: the run dense-steps
+    on the exact path, compiles no round, and reports every abort as a
+    failed ``credits`` entry check at item 0.
+    """
+    original_build = engine_module._build_lock_plan
+
+    def unenterable(*args):
+        plan = original_build(*args)
+        if plan is not None:
+            credits, counters, occupancy = plan.entry
+            plan.entry = ((-1,) * len(credits), counters, occupancy)
+        return plan
+
+    monkeypatch.setattr(engine_module, "_build_lock_plan", unenterable)
+    reference = Simulator(
+        build_streaming_pair(), engine="reference"
+    ).run(max_ticks=100_000)
+    replays = []
+
+    def collect_replays(event):
+        if event.name in ("lockstep_abort", "lockstep_replay"):
+            replays.append(event)
+
+    engine = CompiledEngine(build_streaming_pair())
+    with subscribed(collect_replays):
+        assert engine.run(max_ticks=100_000) == reference
+    assert round_compiles == []
+    assert engine.profile_snapshot()["lockstep_batches"] == 0
+    assert replays
+    for event in replays:
+        assert event.name == "lockstep_abort"
+        assert (event.args["reason"], event.args["item"]) == ("credits", 0)
+
+
+@pytest.mark.usefixtures("fresh_lockstep_tables")
+def test_entered_round_compiles_once_across_engines(
+    monkeypatch, round_compiles,
+):
+    """A round that enters compiles exactly once per source.
+
+    The building engine compiles each round at its first entry; a
+    second engine of the same structure rebinds the plans from the
+    shared cache, enters them, and compiles nothing.
+    """
+    reference = Simulator(
+        build_streaming_pair(), engine="reference"
+    ).run(max_ticks=100_000)
+    first = CompiledEngine(build_streaming_pair())
+    assert first.run(max_ticks=100_000) == reference
+    entered = [
+        plan for plan in first._lock_plans.values()
+        if plan is not engine_module._PROBE_MISS and plan.fn is not None
+    ]
+    assert entered
+    assert len(round_compiles) == len({plan.source for plan in entered})
+
+    probe_hits = counting_probe_hits(monkeypatch)
+    round_compiles.clear()
+    second = CompiledEngine(build_streaming_pair())
+    assert second.run(max_ticks=100_000) == reference
+    assert probe_hits
+    assert second.profile_snapshot()["lockstep_batches"] > 0
+    assert round_compiles == []
+
+
+@pytest.mark.usefixtures("fresh_lockstep_tables")
+@pytest.mark.parametrize("dividers, window, words, reasons", [
+    # Occupancy drift: entry checks fail, rounds still replay.
+    ((4, 2, 2), 48, 20, {"occupancy"}),
+    # A backlog that runs dry mid-round: merged-lap guards, diverging
+    # lap applications, and a clock edge off its recorded path.
+    ((8, 4, 8), 96, 60, {"edge", "divergence", "lap_guard"}),
+])
+def test_mid_round_aborts_settle_deferred_writes(
+    dividers, window, words, reasons,
+):
+    """Rounds that stop part-way owe exactly the writes they deferred.
+
+    The generated round sums its counter increments and writes them at
+    round end; a DOU's state and counters wait until it is really
+    stepped.  An abort must apply exactly what was owed at that site.
+    Feeding the stream a varying backlog between windows makes rounds
+    stop at entry, at a clock edge, at a diverging lap, and at a
+    merged-lap guard; every statistic must match the reference engine
+    after every window.
+    """
+    rng = random.Random(1)
+
+    def perturb(index, chips):
+        words_now = words if index % 3 else rng.randrange(words)
+        for chip in chips:
+            feed_stream(chip, words_now)
+
+    seen = perturbed_differential(
+        lambda: build_fed_stream(dividers), perturb, window,
+    )
+    assert {reason for _event, reason in seen} >= reasons
+
+
+@pytest.mark.usefixtures("fresh_lockstep_tables")
+def test_abort_instants_name_the_failed_check():
+    """``lockstep_abort`` and ``lockstep_replay`` say why a round
+    stopped: a forced entry failure reports its entry check at item 0,
+    a forced mid-round divergence reports ``divergence`` at the round
+    item that diverged, and a replay cut by the window says
+    ``limit``."""
+    events = []
+
+    def collect_events(event):
+        if event.name in ("lockstep_abort", "lockstep_replay"):
+            events.append(event)
+
+    # Entry: words pushed into the consumer's buffers between windows
+    # move the buffers off the recorded occupancy windows.
+    def push_words(index, chips):
+        for chip in chips:
+            buffer = chip.columns[1].tiles[index % 4].read_buffer
+            if not buffer.is_full:
+                buffer.push(7)
+
+    with subscribed(collect_events):
+        perturbed_differential(
+            lambda: build_streaming_pair(samples=192, capacity=2),
+            push_words, 37,
+        )
+    entry = [e for e in events if e.args["reason"] == "occupancy"]
+    assert entry
+    assert all(e.args["item"] == 0 for e in entry)
+    assert any(e.args["reason"] == "limit" and "item" not in e.args
+               for e in events)
+
+    events.clear()
+    rng = random.Random(1)
+
+    def feed(index, chips):
+        words_now = 60 if index % 3 else rng.randrange(60)
+        for chip in chips:
+            feed_stream(chip, words_now)
+
+    with subscribed(collect_events):
+        perturbed_differential(build_fed_stream, feed, 96)
+    diverged = [e for e in events if e.args["reason"] == "divergence"]
+    assert diverged
+    assert all(e.args["item"] >= 0 for e in diverged)
+    assert any(e.name == "lockstep_abort" for e in diverged)
+
+
+@pytest.mark.usefixtures("fresh_lockstep_tables")
+def test_generated_round_shape():
+    """Only the hot path is code.
+
+    No ``while True`` fallback blocks; ``run_edges`` appears only as
+    an on-plan runner act (its result is the column's new credit);
+    every abort is a one-line return of its site index; and each
+    deferred counter is written at most once, at round end.
+    """
+    engine = CompiledEngine(build_streaming_pair())
+    engine.run(max_ticks=100_000)
+    sources = [
+        plan.source for plan in engine._lock_plans.values()
+        if plan is not engine_module._PROBE_MISS
+    ]
+    assert sources
+    counter = re.compile(
+        r"^\s*(\w+)\.(cycles|blocked_cycles|words_moved|"
+        r"cycles_with_traffic|tile_cycles|comm_stalls) \+= \d+$"
+    )
+    runner_act = re.compile(
+        r"^\s*credits\[\d+\] = rn\d+\.run_edges\(.*\) - 1$"
+    )
+    for source in sources:
+        assert "while True" not in source
+        writes = []
+        for line in source.splitlines():
+            if "run_edges" in line:
+                assert runner_act.match(line), line
+            if line.lstrip().startswith("if "):
+                assert re.search(r": return \d+$", line), line
+            match = counter.match(line)
+            if match:
+                writes.append(match.groups())
+        assert writes
+        assert len(writes) == len(set(writes))
