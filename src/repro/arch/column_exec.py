@@ -31,14 +31,13 @@ module compiles them away:
   per-iteration ``ENDLOOP`` resolves zero-cost in the runner and the
   body's comm/compute segments dispatch individually.
 
-* **Loops** - a ``LOOP`` whose body is all plain compute executes its
-  iterations in closed form: the ``LOOP``/``ENDLOOP`` zero-cost
-  control is accounted arithmetically, and bodies matching a static
-  dataflow shape (post-increment loads, self-increment ``ADDI``,
-  ``MAC`` into an accumulator) are *vectorized* - the whole batch of
-  iterations collapses into numpy slice arithmetic plus exact Python
-  integer accumulation, with register wrap-per-iteration replaced by
-  wrap-once (exact for +/- chains by modular arithmetic).
+* **Loops** - a ``LOOP`` whose body is all plain compute runs all
+  its iterations inside one runner call: the ``LOOP``/``ENDLOOP``
+  zero-cost control is accounted arithmetically and each iteration
+  runs the body's generated block.  A body of only self-increment
+  ``ADDI`` counters and ``NOP`` padding settles in *closed form*: a
+  batch of ``k`` iterations advances each counter by ``imm * k``,
+  wrapped once (exact by modular arithmetic).
 
 The engine drives this through :class:`ColumnRunner`: ``run_edges(n)``
 pre-executes up to ``n`` future tile-clock edges and returns how many
@@ -65,17 +64,7 @@ from repro.isa.instructions import Opcode
 from repro.isa.program import MAX_LOOP_DEPTH
 from repro.isa.registers import ACCUMULATORS, ALL_REGISTERS
 
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["ColumnRunner", "compile_column_runner"]
-
-#: Minimum batched iterations before a load-carrying loop takes the
-#: numpy path (below this the slice/array setup outweighs the win);
-#: affine-only bodies are O(1) closed form and always worth it.
-VECTOR_MIN_LOADS = 8
 
 _ACC_SET = frozenset(ACCUMULATORS)
 _REG_SET = frozenset(ALL_REGISTERS)
@@ -409,158 +398,30 @@ def _codegen_block_uncached(instrs):
     return fn, namespace["_check"]
 
 
-class _VectorPlan:
-    """Closed-form batch execution of one compiled loop body.
-
-    ``check(tile, k)`` proves ``k`` iterations raise nothing (every
-    load stays in bounds); ``apply(tile, k)`` commits the batch:
-    loaded registers take their final (last-iteration) values, each
-    accumulator gains the exact sum of its per-iteration products
-    (computed as int64 numpy products folded with Python integers, so
-    no precision is lost), pointers and ``ADDI`` targets advance
-    affinely, and the per-tile counters advance by the batch totals.
-    """
-
-    __slots__ = ("lds", "addis", "macs", "n_instrs", "min_batch")
-
-    def __init__(self, lds, addis, macs, n_instrs) -> None:
-        self.lds = lds        # ((dst, ptr), ...)
-        self.addis = addis    # ((dst, imm), ...)
-        self.macs = macs      # ((acc, src0, src1), ...)
-        self.n_instrs = n_instrs
-        self.min_batch = VECTOR_MIN_LOADS if lds else 1
-
-    def check(self, tile, k: int) -> bool:
-        """Whether ``k`` iterations touch only in-bounds addresses."""
-        regs = tile.regs
-        limit = len(tile.memory)
-        for _, ptr in self.lds:
-            start = regs.read(ptr)
-            if start + k > limit:
-                return False
-        return True
-
-    def apply(self, tile, k: int) -> None:
-        regs = tile.regs
-        memory = tile.memory
-        loaded = {}
-        signed_arrays = {}
-        for dst, ptr in self.lds:
-            start = regs.read(ptr)
-            loaded[dst] = memory[start:start + k]
-            regs.write(ptr, start + k)
-        totals = {}
-        for acc, src0, src1 in self.macs:
-            words0 = loaded.get(src0)
-            words1 = loaded.get(src1)
-            if words0 is None and words1 is None:
-                term = (
-                    regs.read_signed(src0) * regs.read_signed(src1) * k
-                )
-            else:
-                if words0 is None:
-                    vector = self._signed(signed_arrays, src1, words1)
-                    products = regs.read_signed(src0) * vector
-                elif words1 is None:
-                    vector = self._signed(signed_arrays, src0, words0)
-                    products = regs.read_signed(src1) * vector
-                else:
-                    products = (
-                        self._signed(signed_arrays, src0, words0)
-                        * self._signed(signed_arrays, src1, words1)
-                    )
-                # Fold in Python integers: int64 products are exact
-                # (|signed32|^2 < 2**62) but their *sum* may not be.
-                term = sum(products.tolist())
-            totals[acc] = totals.get(acc, 0) + term
-        for acc, term in totals.items():
-            regs.write(acc, regs.read_signed(acc) + term)
-        for dst, words in loaded.items():
-            regs.write(dst, words[-1])
-        for dst, imm in self.addis:
-            regs.write(dst, regs.read(dst) + imm * k)
-        tile.instructions_executed += k * self.n_instrs
-        tile.memory_accesses += k * len(self.lds)
-        tile.mac_operations += k * len(self.macs)
-
-    @staticmethod
-    def _signed(cache, name, words):
-        vector = cache.get(name)
-        if vector is None:
-            vector = _np.asarray(words, dtype=_np.int64)
-            vector = vector - ((vector >> 31) << 32)
-            cache[name] = vector
-        return vector
-
-
 def _vectorize(body):
-    """A :class:`_VectorPlan` for a loop body, or None.
+    """The closed-form step of an affine loop body, or None.
 
-    The recognized shape is the static dataflow kernel of the paper's
-    inner loops: post-increment loads off private pointers, ``MAC``
-    accumulation whose operands are this-iteration loads or loop
-    invariants, self-increment ``ADDI`` counters, and ``NOP`` padding.
-    Anything with a cross-iteration register dependency (other than
-    the affine/accumulating ones modelled exactly) is rejected and
-    runs through the scalar path instead.
+    A body of self-increment ``ADDI`` counters (no accumulator, no
+    register incremented twice) and ``NOP`` padding has no data
+    dependency a batch could break: ``k`` iterations add ``imm * k`` to
+    each counter and nothing else.  Returns the ``(register, imm)``
+    pairs, empty for an all-``NOP`` body; any other shape runs
+    iteration by iteration.
     """
-    lds = []    # (body_index, dst, ptr)
-    addis = []  # (dst, imm)
-    macs = []   # (body_index, acc, src0, src1)
-    for index, instr in enumerate(body):
+    addis = []
+    for instr in body:
         op = instr.opcode
         if op is Opcode.NOP:
             continue
-        if op is Opcode.LD:
-            if not instr.post_increment or instr.offset != 0:
-                return None
-            lds.append((index, instr.dst.upper(), instr.ptr.upper()))
-        elif op is Opcode.ADDI:
-            dst = instr.dst.upper()
-            if dst != instr.srcs[0].upper():
-                return None
-            addis.append((dst, instr.imm))
-        elif op is Opcode.MAC:
-            dst = instr.dst.upper()
-            if dst not in _ACC_SET:
-                return None  # the reference path raises; stay scalar
-            macs.append((
-                index, dst,
-                instr.srcs[0].upper(), instr.srcs[1].upper(),
-            ))
-        else:
+        if op is not Opcode.ADDI:
             return None
-    if (lds or macs) and _np is None:
+        dst = _reg(instr.dst)
+        if dst is None or dst in _ACC_SET or dst != _reg(instr.srcs[0]):
+            return None
+        addis.append((dst, instr.imm))
+    if len({dst for dst, _ in addis}) != len(addis):
         return None
-    ld_dst_list = [dst for _, dst, _ in lds]
-    ld_ptrs = [ptr for _, _, ptr in lds]
-    addi_dsts = [dst for dst, _ in addis]
-    mac_srcs = [name for _, _, s0, s1 in macs for name in (s0, s1)]
-    written = set(ld_dst_list) | set(ld_ptrs) | set(addi_dsts)
-    if len(written) != len(ld_dst_list) + len(ld_ptrs) + len(addi_dsts):
-        return None  # aliasing (or duplicate writes): stay scalar
-    ld_dsts = {dst: index for index, dst, _ in lds}
-    for _, dst, ptr in lds:
-        if dst in _ACC_SET or ptr in _ACC_SET:
-            return None
-        if ptr in mac_srcs:
-            return None
-    for dst, _ in addis:
-        if dst in _ACC_SET or dst in mac_srcs:
-            return None
-    for index, acc, src0, src1 in macs:
-        for src in (src0, src1):
-            if src in _ACC_SET or src in addi_dsts:
-                return None
-            ld_index = ld_dsts.get(src)
-            if ld_index is not None and ld_index > index:
-                return None  # reads last iteration's load
-    return _VectorPlan(
-        lds=tuple((dst, ptr) for _, dst, ptr in lds),
-        addis=tuple(addis),
-        macs=tuple((acc, s0, s1) for _, acc, s0, s1 in macs),
-        n_instrs=len(body),
-    )
+    return tuple(addis)
 
 
 class _LoopPlan:
@@ -800,22 +661,21 @@ class ColumnRunner:
                     tile.execute(instr)
             return budget
         vector = plan.vector
-        if vector is not None and iterations >= vector.min_batch:
+        if vector is not None:
+            count = iterations * body_len
             for tile in active:
-                if not vector.check(tile, iterations):
-                    break
-            else:
-                for tile in active:
-                    vector.apply(tile, iterations)
-                count = iterations * body_len
-                column.tile_cycles += count
-                ctrl.issued += count
-                ctrl.control_executed += iterations - 1
-                top[1] -= iterations - 1
-                ctrl.pc = plan.end_pc
-                self.vector_batches += 1
-                self.vector_iterations += iterations
-                return count
+                values = tile.regs._values
+                for dst, imm in vector:
+                    values[dst] = (values[dst] + imm * iterations) & _MASK32
+                tile.instructions_executed += count
+            column.tile_cycles += count
+            ctrl.issued += count
+            ctrl.control_executed += iterations - 1
+            top[1] -= iterations - 1
+            ctrl.pc = plan.end_pc
+            self.vector_batches += 1
+            self.vector_iterations += iterations
+            return count
         body_fn = plan.body_fn
         body_check = plan.body_check
         first = True

@@ -127,9 +127,9 @@ class DouProgram:
         its ``next_if_zero`` edge does not count).  The quiescent set
         is closed under execution by construction: once a DOU's state
         pointer enters it, no future cycle can move a word, block, or
-        touch the bus - which is what lets an engine demote the
-        machine to arithmetic cycle accounting with re-promotion
-        impossible.  Cached on the (frozen) program.
+        touch the bus - which is what lets an engine account the
+        machine's cycles arithmetically (:meth:`Dou.fast_forward`).
+        Cached on the (frozen) program.
         """
         quiescent = [
             not (state.drives or state.captures)
@@ -294,38 +294,10 @@ class Dou:
         """Whether the machine has entered a closed transfer-free orbit.
 
         Monotonic: once true it stays true forever (the quiescent set
-        is closed under execution), so an engine may demote this DOU
-        to :meth:`fast_forward` accounting without ever re-checking.
+        is closed under execution), and :meth:`fast_forward` may then
+        account any number of its cycles.
         """
         return self.state_index in self.program.quiescent_states
-
-    def starved_self_loop(self) -> bool:
-        """Whether the current cycle is a pure repeatable stall.
-
-        True when the state is a permissive self-loop whose every
-        source buffer is empty: stepping would only increment
-        ``cycles`` and ``blocked_cycles``, and would leave the state
-        pointer, the counters, and every buffer untouched - so as long
-        as no external agent pushes a word, the next cycle is
-        identical and a run of them may be settled arithmetically via
-        :meth:`fast_stall`.
-        """
-        plan = self._plans[self.state_index]
-        if plan is None or not plan.stall_batchable:
-            return False
-        for words in plan.sources:
-            if words:
-                return False
-        return True
-
-    def fast_stall(self, n_cycles: int) -> None:
-        """Account ``n_cycles`` consecutive starved self-loop cycles.
-
-        Callers must hold :meth:`starved_self_loop` and guarantee no
-        source buffer is pushed during the batched span.
-        """
-        self.cycles += n_cycles
-        self.blocked_cycles += n_cycles
 
     def stall_orbit(self):
         """The per-lap effects of the current no-progress orbit, or None.

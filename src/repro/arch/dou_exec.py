@@ -58,14 +58,14 @@ class StatePlan:
     __slots__ = (
         "sources", "drains", "room_checks", "captures",
         "n_drives", "n_captures", "spans", "blocks", "starve_ok",
-        "stall_batchable", "counter", "counter_reset",
+        "counter", "counter_reset",
         "next_if_zero", "next_otherwise",
     )
 
     def __init__(
         self, sources, drains, room_checks, captures, n_drives,
-        n_captures, spans, blocks, starve_ok, stall_batchable,
-        counter, counter_reset, next_if_zero, next_otherwise,
+        n_captures, spans, blocks, starve_ok, counter, counter_reset,
+        next_if_zero, next_otherwise,
     ) -> None:
         self.sources = sources
         self.drains = drains
@@ -76,7 +76,6 @@ class StatePlan:
         self.spans = spans
         self.blocks = blocks
         self.starve_ok = starve_ok
-        self.stall_batchable = stall_batchable
         self.counter = counter
         self.counter_reset = counter_reset
         self.next_if_zero = next_if_zero
@@ -92,8 +91,7 @@ def _segment_of(closed: frozenset, split: int, position: int) -> int:
 
 
 def _compile_state(
-    index: int, state, program, bus, write_ports, read_ports,
-    strict: bool,
+    state, program, bus, write_ports, read_ports, strict: bool,
 ):
     for split, boundary in state.closed:
         if not 0 <= split < bus.n_splits:
@@ -182,14 +180,6 @@ def _compile_state(
             for drive_index in range(len(source_buffers))
         ),
         starve_ok=starve_ok,
-        # A starved permissive self-loop repeats one pure stall cycle:
-        # engines may batch those arithmetically (state, counters, and
-        # buffers provably cannot change until an external push).
-        stall_batchable=(
-            starve_ok
-            and state.counter is None
-            and state.next_otherwise == index
-        ),
         counter=state.counter,
         counter_reset=(
             program.counter_initial[state.counter]
@@ -206,10 +196,9 @@ def compile_state_plans(
     """Per-state plans for one bound DOU (``None`` = interpret)."""
     return tuple(
         _compile_state(
-            index, state, program, bus, write_ports, read_ports,
-            strict,
+            state, program, bus, write_ports, read_ports, strict,
         )
-        for index, state in enumerate(program.states)
+        for state in program.states
     )
 
 
@@ -228,8 +217,8 @@ def compile_orbits(program, plans) -> tuple:
     orbit, no buffer changes, and only ``cycles``/``blocked_cycles``
     and the bus traffic counters advance - which is what lets an
     engine settle a whole span of them arithmetically
-    (:meth:`~repro.arch.dou.Dou.fast_stall_orbit`).  The single-state
-    permissive self-loop of ``stall_batchable`` is the length-1 case.
+    (:meth:`~repro.arch.dou.Dou.fast_stall_orbit`).  A single-state
+    permissive self-loop is the length-1 case.
     """
     states = program.states
     eligible = []

@@ -16,7 +16,8 @@ The workload set brackets the engine's operating range:
 * ``wlan_acs`` - the Viterbi add-compare-select kernel with its
   neighbour-exchange DOU schedule (dense mode, strict schedules);
 * ``mixed_dividers`` - compute-only columns at 8/16/32 off one
-  reference (sparse mode, the hyperperiod jump table's home turf);
+  reference (sparse mode: per-column edge walks and closed-form
+  ``ADDI`` loops);
 * ``ddc_pipeline`` - the Section 2 DDC front-end at paper-realistic
   column rates (24/40 MHz off 600 MHz): live compiled DOU schedules
   on both vertical buses and the horizontal bus (dense mode with
@@ -35,7 +36,7 @@ enforcement, since tiny runs measure fixed costs, not striding).
 ``--profile`` adds one extra instrumented compiled run per workload
 after the timing loops and attaches its per-phase wall-clock
 attribution (compile, dense ticks, batched jumps, settlement, drain)
-plus the runner/vectorizer event counters to each payload entry.
+plus the column-runner event counters to each payload entry.
 
 ``--trace out.json`` re-runs the timeline-bearing workloads
 (:data:`TRACE_WORKLOADS`) with the full telemetry bus subscribed and

@@ -186,15 +186,10 @@ class _ClockPlan:
 
     ``edges`` keeps column *indexes* per offset (needed wherever
     PLL-relock gates must be consulted); ``edge_objs`` binds the same
-    table down to :class:`Column` objects for the no-gate hot loop;
-    ``sparse_steps[o]`` is ``(delta, edge_indexes)`` where ``delta``
-    is the distance from offset ``o`` to the next offset carrying any
-    edge (0 when ``o`` itself does) - the precomputed
-    next-active-offset table that replaces the old per-jump linear
-    scan, and doubles as the gap table for starved-DOU stall batching.
+    table down to :class:`Column` objects for the no-gate hot loop.
     """
 
-    __slots__ = ("period", "edges", "edge_objs", "sparse_steps")
+    __slots__ = ("period", "edges", "edge_objs")
 
     def __init__(self, clock, columns) -> None:
         self.period = clock.hyperperiod()
@@ -203,20 +198,6 @@ class _ClockPlan:
             tuple(columns[index] for index in offsets)
             for offsets in self.edges
         )
-        active = [
-            offset for offset, offsets in enumerate(self.edges)
-            if offsets
-        ]
-        steps = []
-        for offset in range(self.period):
-            target = next(
-                (a for a in active if a >= offset),
-                self.period + active[0],
-            )
-            steps.append(
-                (target - offset, self.edges[target % self.period])
-            )
-        self.sparse_steps = tuple(steps)
 
 
 #: Recorded items kept while hunting for a recurring lockstep round;
@@ -630,49 +611,6 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
         ))
         dense_ticks += 1
 
-    # Merge maximal runs of identical edge-free tick items into one
-    # K-lap application (payloads are pre-scaled by K at build time).
-    merged = []
-    i = 0
-    n = len(items)
-    while i < n:
-        item = items[i]
-        if item[0] != 1 or item[2] is not None or item[3]:
-            merged.append(item)
-            i += 1
-            continue
-        k = 1
-        while i + k < n and items[i + k] == item:
-            k += 1
-        if k == 1:
-            merged.append(item)
-            i += 1
-            continue
-        ops_k = []
-        mergeable = True
-        for op in item[1]:
-            if op[0] == 0:
-                ops_k.append(op)
-            elif op[0] == 1:
-                (_, dou, blocked_d, bus_words_d, bus_traffic_d,
-                 state_post, counter_sets) = op
-                if counter_sets:
-                    mergeable = False
-                    break
-                ops_k.append((
-                    1, dou, blocked_d * k, bus_words_d * k,
-                    bus_traffic_d * k, state_post, (),
-                ))
-            else:
-                mergeable = False
-                break
-        if not mergeable:
-            merged.append(item)
-            i += 1
-            continue
-        merged.append((2, tuple(ops_k), k))
-        i += k
-
     occ_checks = []
     for j in range(n_bufs):
         low = anchor[j] + lo[j] if lo[j] > -_OCC_UNBOUNDED else 0
@@ -685,7 +623,7 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
         orbit_laps, fused_calls,
     )
     source, binds, entry, sites, fixups = _emit_round(
-        tuple(merged), recorder.credits, recorder.counters, occ_checks,
+        tuple(items), recorder.credits, recorder.counters, occ_checks,
         deques, anchor, dividers, runners,
     )
     if BUS.active:
@@ -695,7 +633,7 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
             args={
                 "round_ticks": period,
                 "recurrences": recorder.recurrences,
-                "primitives": len(merged),
+                "primitives": len(items),
                 "source_bytes": len(source),
             },
         )
@@ -917,8 +855,7 @@ def _emit_round(
     # --- the round body -----------------------------------------------
     offset = 0
     for index, item in enumerate(items):
-        tag = item[0]
-        if tag == 0:
+        if item[0] == 0:
             _, span, cyc_dous, dou_fx, charges, burns, acts = item
             for dou in cyc_dous:
                 add(dou, "d", "cycles", span)
@@ -932,7 +869,7 @@ def _emit_round(
             offset += span
             if acts:
                 emit_acts(acts, cold_acts(acts), index, offset)
-        elif tag == 1:
+        else:
             # A lap or real step that diverges aborts into the helper,
             # which single-steps every machine after it, then runs the
             # tick's clock edges generically - all applied state real.
@@ -962,30 +899,6 @@ def _emit_round(
                 ), "post_check", index, offset, (), cold)
             if acts:
                 emit_acts(acts, cold, index, offset)
-        else:
-            # Merged run of identical edge-free compiled ticks: guards
-            # aggregated over all K laps up front, so an abort lands
-            # cleanly at the tick boundary with nothing applied.
-            _, ops, k = item
-            guards = []
-            for op in ops:
-                if op[0] != 0:
-                    continue
-                lap = op[2]
-                for words in lap.sources:
-                    guards.append("len(%s) < %d" % (nm(words, "q"), k))
-                for words, capacity in lap.rooms:
-                    guards.append("len(%s) > %d"
-                                  % (nm(words, "q"), capacity - k))
-            if guards:
-                abort(" or ".join(guards), "lap_guard", index, offset)
-            for op in ops:
-                if op[0] == 0:
-                    w("%s.apply_laps(%s, %d)"
-                      % (nm(op[1], "d"), nm(op[2], "lap"), k))
-                else:
-                    fold(op[1], k, *op[2:])
-            offset += k
     # --- round end: every deferred write, once --------------------------
     for index in set_slots:
         flush(index)
@@ -1082,17 +995,17 @@ def _round_factory(source):
 _ROUND_CODE_CACHE: dict = {}
 
 # Whole lockstep plans shared across engine instances, keyed by
-# ``(fingerprint, signature)`` and holding ``(source, paths, adds,
-# period)``: the generated round source, the bound objects
-# re-expressed as structural paths (column/DOU/runner/universe
-# indexes), the round's profile-counter totals, and its tick span.  A fresh engine simulating a
-# structurally identical chip rebinds the paths against its own
-# machine objects and gets the plan at the signature's FIRST sighting
-# - no recording window, no analysis, no emission.  Safety matches
-# intra-engine reuse: the fingerprint pins program text and transfer
-# topology, the signature pins the control anchor, and the round's
-# own entry checks and validated primitives catch (and cleanly abort
-# on) any residual divergence.
+# ``(fingerprint, signature)`` and holding ``(paths, period, adds,
+# source, entry, sites, fixups)``: the round's binds re-expressed as
+# structural paths (column/controller/DOU/bus/runner/lap-plan/universe
+# indexes), then the :class:`_RoundPlan` fields of the same names.  A
+# fresh engine simulating a structurally identical chip rebinds the
+# paths against its own machine objects and gets the plan at the
+# signature's FIRST sighting - no recording window, no analysis, no
+# emission.  Safety matches intra-engine reuse: the fingerprint pins
+# program text and transfer topology, the signature pins the control
+# anchor, and the round's own entry checks and validated primitives
+# catch (and cleanly abort on) any residual divergence.
 _SHARED_LOCK_PLANS: dict = {}
 _SHARED_LOCK_CAP = 1024
 
@@ -1121,20 +1034,18 @@ class CompiledEngine(Engine):
     """Hyperperiod-compiled stepping: skip what cannot change state.
 
     At construction the engine classifies every DOU: machines whose
-    program is inert can never move a word, so they are accounted
-    arithmetically from the start, and the rest are *demotable* - the
-    moment one parks in a closed orbit of non-transferring states
-    (:meth:`~repro.arch.dou.Dou.is_quiescent`, e.g. the idle park of
-    ``linear_schedule(repeat=k)``) it too stops being stepped, with
-    re-promotion impossible by construction.  The clock tree's edge
-    schedule is compiled lazily, per divider tuple, into a plan cache
-    (:class:`_ClockPlan`) - runtime retuning through
-    :meth:`~repro.arch.chip.Chip.retune` just selects another plan.
-    Two striding modes follow:
+    program is inert can never move a word, so they are never stepped
+    and their cycles are accounted arithmetically; the rest are
+    stepped.  The clock tree's edge schedule is compiled lazily, per
+    divider tuple, into a plan cache (:class:`_ClockPlan`) - runtime
+    retuning through :meth:`~repro.arch.chip.Chip.retune` just selects
+    another plan.  Two striding modes follow:
 
-    * no DOU needs stepping ("sparse"): only reference ticks carrying
-      at least one live column edge are visited, located through the
-      plan's precomputed next-active-offset table in O(1) per jump;
+    * no DOU needs stepping ("sparse"): columns cannot interact, so
+      each live column walks its own edges - credited edges burn in
+      O(1), compute runs batch through the column runner, and a
+      column blocked on a comm buffer is charged every remaining
+      stall edge in closed form;
     * some DOU needs stepping ("dense"): every tick steps those DOUs
       (they run at the reference rate by definition) through their
       compiled per-state plans, column edges come from the prebound
@@ -1166,13 +1077,12 @@ class CompiledEngine(Engine):
         #: every DOU, in the reference loop's stepping order
         #: (columns ascending, then the horizontal machine).
         self._all_dous = tuple(dous)
-        #: indexes into _all_dous still stepped tick-by-tick; inert
-        #: programs start demoted, the rest may demote at run time.
-        self._stepped = [
+        #: indexes into _all_dous stepped tick-by-tick: every DOU
+        #: whose program is not inert.
+        self._stepped = tuple(
             index for index, dou in enumerate(dous)
             if not dou.program.is_inert()
-        ]
-        self._refresh_demotable()
+        )
         #: per-column compute-run pre-executors (None = reference
         #: fetch only) and the count of upcoming clock edges each
         #: column has already executed through its runner.
@@ -1247,7 +1157,7 @@ class CompiledEngine(Engine):
         are populated only when :attr:`profile_enabled` was set before
         the run; counter keys are always exact.  The runner aggregate
         folds in every column's pre-execution statistics (calls, edges
-        consumed, vectorized batches).
+        consumed, closed-form loop batches).
         """
         data = self.metrics.snapshot()
         calls = edges = batches = iterations = 0
@@ -1288,30 +1198,6 @@ class CompiledEngine(Engine):
             runner.vector_batches = 0
             runner.vector_iterations = 0
         self._profile_mark = self.chip.reference_ticks
-
-    def _refresh_demotable(self) -> None:
-        self._demotable = any(
-            self._all_dous[index].program.quiescent_states
-            for index in self._stepped
-        )
-
-    def _demote_quiescent(self) -> None:
-        """Stop stepping DOUs parked in a closed transfer-free orbit.
-
-        Safe at any tick: a quiescent machine's remaining execution
-        only increments its cycle counter, which the window settlement
-        reconstructs arithmetically.  Demotion is permanent - the
-        orbit is closed, so the machine can never transfer again.
-        """
-        if not self._demotable:
-            return
-        kept = [
-            index for index in self._stepped
-            if not self._all_dous[index].is_quiescent()
-        ]
-        if len(kept) != len(self._stepped):
-            self._stepped = kept
-            self._refresh_demotable()
 
     def _plan(self) -> _ClockPlan:
         """The compiled activity schedule for the current dividers.
@@ -1368,10 +1254,6 @@ class CompiledEngine(Engine):
     # ------------------------------------------------------------------
     # striding
     # ------------------------------------------------------------------
-    #: Ticks between quiescence re-checks in the dense loop (also the
-    #: minimum, so tiny hyperperiods do not check every tick).
-    DEMOTION_CHECK_TICKS = 64
-
     def _stride_window(self, limit: int) -> int:
         """Advance from the current tick to at most ``limit``.
 
@@ -1389,7 +1271,6 @@ class CompiledEngine(Engine):
             column.tile_cycles for column in chip.columns
         ]
         dou_cycles = [dou.cycles for dou in self._all_dous]
-        self._demote_quiescent()
         # Touch the plan cache even on sparse windows: one compiled
         # plan per operating point the run visits is part of the
         # engine's contract (and what the epoch layer's cache tests
@@ -1476,13 +1357,13 @@ class CompiledEngine(Engine):
     def _sparse_until(self, start: int, limit: int) -> int:
         """No DOU to step: settle each live column independently.
 
-        With every DOU demoted or inert, no word can cross a domain
-        boundary for the rest of the window, so columns cannot
-        interact and each advances over its private edge schedule in
-        one pass: edges the column runner has pre-executed burn in
-        O(1), compiled compute runs batch through the runner, and a
-        column that blocks on a comm buffer is charged all remaining
-        stall edges in closed form (nothing can ever unblock it).
+        With every DOU inert, no word can cross a domain boundary for
+        the rest of the window, so columns cannot interact and each
+        advances over its private edge schedule in one pass: edges
+        the column runner has pre-executed burn in O(1), compiled
+        compute runs batch through the runner, and a column that
+        blocks on a comm buffer is charged all remaining stall edges
+        in closed form (nothing can ever unblock it).
         Returns the tick at which the reference loop would observe
         all-halted, or ``limit``.
         """
@@ -1542,13 +1423,12 @@ class CompiledEngine(Engine):
     def _dense_until(self, start: int, limit: int) -> int:
         """Some DOU moves data: walk the compiled hyperperiod trace.
 
-        The loop runs in segments.  A gated or unaligned prefix pays
-        per-tick gate checks; the steady-state segment walks the
-        prebound edge-object table with an incrementing offset (no
-        modulo, no gate test, no halted-edge re-entry after the
-        filtered check), batches no-progress gaps, and pre-executes
-        compute runs.  Two batching mechanisms remove the per-tick
-        loop in steady state:
+        A relock-gated prefix pays per-tick gate checks; the steady
+        state walks the prebound edge-object table with an
+        incrementing offset (no modulo, no gate test, no halted-edge
+        re-entry after the filtered check), batches no-progress gaps,
+        and pre-executes compute runs.  Two batching mechanisms remove
+        the per-tick loop in steady state:
 
         * **Orbit batching** - when every stepped DOU sits in a
           closed no-progress orbit (starved, fully backpressured, or
@@ -1562,10 +1442,6 @@ class CompiledEngine(Engine):
           program allows; the column is then credited those edges,
           which burn in O(1) as their ticks pass (or inside an orbit
           jump).
-
-        Segment boundaries double as quiescence-demotion checkpoints;
-        when the last stepped DOU demotes, the window degrades to the
-        sparse per-column loop.
 
         On top of both, the loop hunts for a recurring **lockstep
         round**: the same anchor signature (column pcs, pending/loop
@@ -1600,8 +1476,7 @@ class CompiledEngine(Engine):
         edges = plan.edges
         edge_objs = plan.edge_objs
         max_gate = max(gates)
-        check_ticks = max(period, self.DEMOTION_CHECK_TICKS)
-        all_dous = self._all_dous
+        dous = [self._all_dous[index] for index in self._stepped]
         credits = self._credits
         runners = self._runners
         profile = self._profile
@@ -1610,345 +1485,272 @@ class CompiledEngine(Engine):
         armed = None     # _LockRecorder while capturing one round
         live = sum(not column.halted for column in columns)
         tick = start
-        while live and tick < limit:
-            if not self._stepped:
-                return self._sparse_until(tick, limit)
-            dous = [all_dous[index] for index in self._stepped]
-            segment_end = (
-                min(limit, tick + check_ticks) if self._demotable
-                else limit
-            )
-            if tick < max_gate:
-                # Relock-gated prefix: tick-accurate gate checks, with
-                # the same orbit batching as the steady state.  Once
-                # every stepped DOU parks in a no-progress orbit, no
-                # buffer can change before the next *executable* column
-                # edge - and a relock gate pushes each column's next
-                # executable edge out to its gate expiry - so the whole
-                # gated stretch settles arithmetically instead of
-                # paying per-tick gate checks.
-                gate_end = min(segment_end, max_gate)
-                gate_moved = 0
-                while live and tick < gate_end:
-                    if gate_moved == 0:
-                        gate_batch = []
-                        for dou in dous:
-                            effects = dou.stall_orbit()
-                            if effects is None:
-                                gate_batch = None
-                                break
-                            gate_batch.append(effects)
-                    else:
-                        gate_batch = None
-                    if gate_batch is not None:
-                        jump = gate_end
-                        for cindex, column in enumerate(columns):
-                            if column.halted:
-                                continue
-                            divider = dividers[cindex]
-                            base = tick
-                            if gates[cindex] > base:
-                                base = gates[cindex]
-                            due = base + (-base) % divider
-                            if due < jump:
-                                jump = due
-                        if jump > tick:
-                            span = jump - tick
-                            for position, dou in enumerate(dous):
-                                dou.fast_stall_orbit(
-                                    gate_batch[position], span,
-                                )
-                            profile["batch_events"] += 1
-                            profile["batched_ticks"] += span
-                            tick = jump
-                            continue
-                    gate_moved = 0
-                    for dou in dous:
-                        gate_moved += dou.step()
-                    for index in edges[tick % period]:
-                        column = columns[index]
-                        if column.halted or tick < gates[index]:
-                            continue
-                        column.step_tile_clock()
-                        if column.halted:
-                            live -= 1
-                    tick += 1
-                continue
-            offset = tick % period
-            stepped_ticks = 0
-            moved = 0
-            while live and tick < segment_end:
-                # Attempt an orbit batch only after a tick in which no
-                # word moved (a no-progress orbit implies one), so the
-                # classification never taxes the busy steady state.
-                if moved == 0:
-                    batch = []
+        if tick < max_gate:
+            # Relock-gated prefix: tick-accurate gate checks, with
+            # the same orbit batching as the steady state.  Once
+            # every stepped DOU parks in a no-progress orbit, no
+            # buffer can change before the next *executable* column
+            # edge - and a relock gate pushes each column's next
+            # executable edge out to its gate expiry - so the whole
+            # gated stretch settles arithmetically instead of
+            # paying per-tick gate checks.
+            gate_end = min(limit, max_gate)
+            gate_moved = 0
+            while live and tick < gate_end:
+                if gate_moved == 0:
+                    gate_batch = []
                     for dou in dous:
                         effects = dou.stall_orbit()
                         if effects is None:
-                            batch = None
+                            gate_batch = None
                             break
-                        batch.append(effects)
+                        gate_batch.append(effects)
                 else:
-                    batch = None
-                if batch is not None or offset == 0:
-                    # Lockstep safepoint: replay a cached round for
-                    # this anchor, build one from an armed capture,
-                    # or count a recurrence and arm a capture once the
-                    # signature has recurred LOCKSTEP_ARM_RECURRENCES
-                    # times on this chip structure.
-                    # Attempted at every no-progress orbit batch AND at
-                    # every hyperperiod phase boundary: a periodic
-                    # *busy* regime (words moving every tick, so no
-                    # no-progress anchor ever appears) still recurs at
-                    # phase 0, and its recorded round replays as lap
-                    # applications and validated real steps with all
-                    # the per-tick classification machinery skipped.
-                    sig = self._lock_signature(tick, period)
-                    lplan = lock_plans.get(sig)
-                    if lplan is None and _SHARED_LOCK_PLANS:
-                        lplan = self._lock_probe(sig)
-                        lock_plans[sig] = (
-                            _PROBE_MISS if lplan is None else lplan
-                        )
-                    elif lplan is _PROBE_MISS:
-                        lplan = None
-                    if (lplan is not None
-                            and tick + lplan.period <= limit):
-                        new_tick, rounds = self._lock_replay(
-                            lplan, tick, limit, credits, profile,
-                        )
-                        if rounds:
-                            lplan.failures = 0
-                        else:
-                            lplan.failures += 1
-                            if lplan.failures > LOCKSTEP_FAILURES:
-                                del lock_plans[sig]
-                                if lplan.gkey is not None:
-                                    _SHARED_LOCK_PLANS.pop(
-                                        lplan.gkey, None,
-                                    )
-                        if new_tick != tick:
-                            tick = new_tick
-                            offset = tick % period
-                            moved = 0
-                            live = sum(
-                                not column.halted
-                                for column in columns
-                            )
-                            sigs.clear()
-                            armed = None
-                            continue
-                    elif lplan is None:
-                        if armed is not None:
-                            if sig == armed.sig and tick > armed.start:
-                                built = _build_lock_plan(
-                                    armed, tick - armed.start,
-                                    dous, columns, runners, dividers,
-                                )
-                                armed = None
-                                if built is not None:
-                                    if (len(lock_plans)
-                                            > LOCKSTEP_PLAN_CAP):
-                                        lock_plans.clear()
-                                    lock_plans[sig] = built
-                                    self._lock_share(sig, built)
-                        elif sigs.get(sig, tick) < tick:
-                            seen = self._lock_recurred(sig)
-                            if seen >= LOCKSTEP_ARM_RECURRENCES:
-                                armed = _LockRecorder(
-                                    sig, tick, seen,
-                                    self._lock_buffers(), dous, credits,
-                                )
-                        sigs[sig] = tick
-                if batch is not None:
-                    if armed is not None:
-                        g_occ = armed.occ()
-                        g_states = tuple(
-                            dou.state_index for dou in dous
-                        )
-                        g_comm = armed.comm_state(columns, credits)
-                    jump = segment_end
-                    parked = 0  # bitmask of comm-parked columns
+                    gate_batch = None
+                if gate_batch is not None:
+                    jump = gate_end
                     for cindex, column in enumerate(columns):
                         if column.halted:
-                            continue
-                        credit = credits[cindex]
-                        if credit == 0 and column.parked_on_comm():
-                            parked |= 1 << cindex
                             continue
                         divider = dividers[cindex]
-                        due = (
-                            tick + (-tick) % divider
-                            + credit * divider
-                        )
+                        base = tick
+                        if gates[cindex] > base:
+                            base = gates[cindex]
+                        due = base + (-base) % divider
                         if due < jump:
                             jump = due
-                    # The freeze proof holds through the DOU steps AT
-                    # ``jump`` as well: no buffer changed in
-                    # [tick, jump), so the bus cycle at ``jump`` is one
-                    # more orbit stall, and the due edges then execute
-                    # inside this event (reference order: buses first,
-                    # then due columns).  Only when the jump hits the
-                    # segment boundary does the event stop short of an
-                    # edge.  Parked columns owe one comm-stall edge per
-                    # skipped edge, credited columns burn their
-                    # pre-executed edges, and no other column has an
-                    # edge before the jump.
-                    run_edge = jump < segment_end
-                    end = jump + 1 if run_edge else jump
-                    span = end - tick
-                    recording = armed is not None
-                    for position, dou in enumerate(dous):
-                        dou.fast_stall_orbit(batch[position], span)
-                    charges_rec = [] if recording else None
-                    burns_rec = [] if recording else None
-                    for cindex, column in enumerate(columns):
-                        if column.halted:
-                            continue
-                        if credits[cindex]:
-                            burn = clock.edges_in(cindex, tick, jump)
-                            if burn:
-                                credits[cindex] -= burn
-                                if recording:
-                                    burns_rec.append((cindex, burn))
-                        elif parked >> cindex & 1:
-                            owed = clock.edges_in(cindex, tick, end)
-                            if owed:
-                                column.tile_cycles += owed
-                                column.comm_stalls += owed
-                                profile["parked_edges"] += owed
-                                if recording:
-                                    charges_rec.append((cindex, owed))
-                    acts = None
-                    if run_edge:
-                        acts = [] if recording else None
-                        for column in edge_objs[jump % period]:
-                            if column.halted:
-                                continue
-                            cindex = column.index
-                            if parked >> cindex & 1:
-                                continue  # stall already settled
-                            credit = credits[cindex]
-                            if credit:
-                                credits[cindex] = credit - 1
-                                if recording:
-                                    acts.append((0, cindex))
-                                continue
-                            runner = runners[cindex]
-                            if runner is not None:
-                                divider = dividers[cindex]
-                                pre_pc = column.controller.pc
-                                consumed = runner.run_edges(
-                                    (limit - jump + divider - 1)
-                                    // divider
+                    if jump > tick:
+                        span = jump - tick
+                        for position, dou in enumerate(dous):
+                            dou.fast_stall_orbit(
+                                gate_batch[position], span,
+                            )
+                        profile["batch_events"] += 1
+                        profile["batched_ticks"] += span
+                        tick = jump
+                        continue
+                gate_moved = 0
+                for dou in dous:
+                    gate_moved += dou.step()
+                for index in edges[tick % period]:
+                    column = columns[index]
+                    if column.halted or tick < gates[index]:
+                        continue
+                    column.step_tile_clock()
+                    if column.halted:
+                        live -= 1
+                tick += 1
+        offset = tick % period
+        stepped_ticks = 0
+        moved = 0
+        while live and tick < limit:
+            # Attempt an orbit batch only after a tick in which no
+            # word moved (a no-progress orbit implies one), so the
+            # classification never taxes the busy steady state.
+            if moved == 0:
+                batch = []
+                for dou in dous:
+                    effects = dou.stall_orbit()
+                    if effects is None:
+                        batch = None
+                        break
+                    batch.append(effects)
+            else:
+                batch = None
+            if batch is not None or offset == 0:
+                # Lockstep safepoint: replay a cached round for
+                # this anchor, build one from an armed capture,
+                # or count a recurrence and arm a capture once the
+                # signature has recurred LOCKSTEP_ARM_RECURRENCES
+                # times on this chip structure.
+                # Attempted at every no-progress orbit batch AND at
+                # every hyperperiod phase boundary: a periodic
+                # *busy* regime (words moving every tick, so no
+                # no-progress anchor ever appears) still recurs at
+                # phase 0, and its recorded round replays as lap
+                # applications and validated real steps with all
+                # the per-tick classification machinery skipped.
+                sig = self._lock_signature(tick, period)
+                lplan = lock_plans.get(sig)
+                if lplan is None and _SHARED_LOCK_PLANS:
+                    lplan = self._lock_probe(sig)
+                    lock_plans[sig] = (
+                        _PROBE_MISS if lplan is None else lplan
+                    )
+                elif lplan is _PROBE_MISS:
+                    lplan = None
+                if (lplan is not None
+                        and tick + lplan.period <= limit):
+                    new_tick, rounds = self._lock_replay(
+                        lplan, tick, limit, credits, profile,
+                    )
+                    if rounds:
+                        lplan.failures = 0
+                    else:
+                        lplan.failures += 1
+                        if lplan.failures > LOCKSTEP_FAILURES:
+                            del lock_plans[sig]
+                            if lplan.gkey is not None:
+                                _SHARED_LOCK_PLANS.pop(
+                                    lplan.gkey, None,
                                 )
-                                if consumed:
-                                    credits[cindex] = consumed - 1
-                                    if recording:
-                                        ctrl = column.controller
-                                        acts.append((
-                                            1, cindex, pre_pc,
-                                            consumed, ctrl.pc,
-                                            runner.comm_head(pre_pc),
-                                            len(ctrl._loop_stack),
-                                        ))
-                                    continue
-                            column.step_tile_clock()
-                            if recording:
-                                ctrl = column.controller
-                                acts.append((
-                                    3, cindex, ctrl.pc,
-                                    column.halted,
-                                    ctrl._pending is not None,
-                                    len(ctrl._loop_stack),
-                                ))
-                            if column.halted:
-                                live -= 1
-                    if recording:
-                        armed.items.append((
-                            "g", span, g_occ, g_states, batch,
-                            g_comm, parked, tuple(charges_rec),
-                            tuple(burns_rec),
-                            tuple(acts) if acts is not None
-                            else None,
-                        ))
-                        if len(armed.items) > LOCKSTEP_REC_CAP:
+                    if new_tick != tick:
+                        tick = new_tick
+                        offset = tick % period
+                        moved = 0
+                        live = sum(
+                            not column.halted
+                            for column in columns
+                        )
+                        sigs.clear()
+                        armed = None
+                        continue
+                elif lplan is None:
+                    if armed is not None:
+                        if sig == armed.sig and tick > armed.start:
+                            built = _build_lock_plan(
+                                armed, tick - armed.start,
+                                dous, columns, runners, dividers,
+                            )
                             armed = None
-                    profile["batch_events"] += 1
-                    profile["batched_ticks"] += span
-                    tick = end
-                    offset = tick % period
-                    moved = 0
-                    continue
-                if armed is None:
-                    moved = 0
-                    for dou in dous:
-                        moved += dou.step()
-                    for column in edge_objs[offset]:
+                            if built is not None:
+                                if (len(lock_plans)
+                                        > LOCKSTEP_PLAN_CAP):
+                                    lock_plans.clear()
+                                lock_plans[sig] = built
+                                self._lock_share(sig, built)
+                    elif sigs.get(sig, tick) < tick:
+                        seen = self._lock_recurred(sig)
+                        if seen >= LOCKSTEP_ARM_RECURRENCES:
+                            armed = _LockRecorder(
+                                sig, tick, seen,
+                                self._lock_buffers(), dous, credits,
+                            )
+                    sigs[sig] = tick
+            if batch is not None:
+                if armed is not None:
+                    g_occ = armed.occ()
+                    g_states = tuple(
+                        dou.state_index for dou in dous
+                    )
+                    g_comm = armed.comm_state(columns, credits)
+                jump = limit
+                parked = 0  # bitmask of comm-parked columns
+                for cindex, column in enumerate(columns):
+                    if column.halted:
+                        continue
+                    credit = credits[cindex]
+                    if credit == 0 and column.parked_on_comm():
+                        parked |= 1 << cindex
+                        continue
+                    divider = dividers[cindex]
+                    due = (
+                        tick + (-tick) % divider
+                        + credit * divider
+                    )
+                    if due < jump:
+                        jump = due
+                # The freeze proof holds through the DOU steps AT
+                # ``jump`` as well: no buffer changed in
+                # [tick, jump), so the bus cycle at ``jump`` is one
+                # more orbit stall, and the due edges then execute
+                # inside this event (reference order: buses first,
+                # then due columns).  Only when the jump hits the
+                # window limit does the event stop short of an edge.
+                # Parked columns owe one comm-stall edge per skipped
+                # edge, credited columns burn their pre-executed
+                # edges, and no other column has an edge before the
+                # jump.
+                run_edge = jump < limit
+                end = jump + 1 if run_edge else jump
+                span = end - tick
+                recording = armed is not None
+                for position, dou in enumerate(dous):
+                    dou.fast_stall_orbit(batch[position], span)
+                charges_rec = [] if recording else None
+                burns_rec = [] if recording else None
+                for cindex, column in enumerate(columns):
+                    if column.halted:
+                        continue
+                    if credits[cindex]:
+                        burn = clock.edges_in(cindex, tick, jump)
+                        if burn:
+                            credits[cindex] -= burn
+                            if recording:
+                                burns_rec.append((cindex, burn))
+                    elif parked >> cindex & 1:
+                        owed = clock.edges_in(cindex, tick, end)
+                        if owed:
+                            column.tile_cycles += owed
+                            column.comm_stalls += owed
+                            profile["parked_edges"] += owed
+                            if recording:
+                                charges_rec.append((cindex, owed))
+                acts = None
+                if run_edge:
+                    acts = [] if recording else None
+                    for column in edge_objs[jump % period]:
                         if column.halted:
                             continue
                         cindex = column.index
+                        if parked >> cindex & 1:
+                            continue  # stall already settled
                         credit = credits[cindex]
                         if credit:
                             credits[cindex] = credit - 1
+                            if recording:
+                                acts.append((0, cindex))
                             continue
                         runner = runners[cindex]
                         if runner is not None:
-                            # tick is this column's edge
-                            # (tick % d == 0), so the edges left in
-                            # the window are a pure ceiling division.
                             divider = dividers[cindex]
+                            pre_pc = column.controller.pc
                             consumed = runner.run_edges(
-                                (limit - tick + divider - 1)
+                                (limit - jump + divider - 1)
                                 // divider
                             )
                             if consumed:
                                 credits[cindex] = consumed - 1
+                                if recording:
+                                    ctrl = column.controller
+                                    acts.append((
+                                        1, cindex, pre_pc,
+                                        consumed, ctrl.pc,
+                                        runner.comm_head(pre_pc),
+                                        len(ctrl._loop_stack),
+                                    ))
                                 continue
                         column.step_tile_clock()
+                        if recording:
+                            ctrl = column.controller
+                            acts.append((
+                                3, cindex, ctrl.pc,
+                                column.halted,
+                                ctrl._pending is not None,
+                                len(ctrl._loop_stack),
+                            ))
                         if column.halted:
                             live -= 1
-                    stepped_ticks += 1
-                    tick += 1
-                    offset += 1
-                    if offset == period:
-                        offset = 0
-                    continue
-                # Armed: the same tick, instrumented with the
-                # occupancy snapshots and per-DOU stat deltas the
-                # round compiler needs.  One round per signature pays
-                # this; the steady state never does.
-                occ_cur = armed.occ()
-                per_dou = []
+                if recording:
+                    armed.items.append((
+                        "g", span, g_occ, g_states, batch,
+                        g_comm, parked, tuple(charges_rec),
+                        tuple(burns_rec),
+                        tuple(acts) if acts is not None
+                        else None,
+                    ))
+                    if len(armed.items) > LOCKSTEP_REC_CAP:
+                        armed = None
+                profile["batch_events"] += 1
+                profile["batched_ticks"] += span
+                tick = end
+                offset = tick % period
+                moved = 0
+                continue
+            if armed is None:
                 moved = 0
                 for dou in dous:
-                    state_pre = dou.state_index
-                    blocked_pre = dou.blocked_cycles
-                    retired_pre = dou.words_retired
-                    bus = dou.bus
-                    bus_words_pre = bus.words_moved
-                    bus_traffic_pre = bus.cycles_with_traffic
-                    counters_pre = tuple(dou.counters)
-                    words = dou.step()
-                    moved += words
-                    occ_next = armed.occ()
-                    per_dou.append((
-                        state_pre, words, occ_next != occ_cur,
-                        dou.blocked_cycles - blocked_pre,
-                        bus.words_moved - bus_words_pre,
-                        bus.cycles_with_traffic - bus_traffic_pre,
-                        dou.words_retired - retired_pre,
-                        dou.state_index,
-                        tuple(
-                            (i, v)
-                            for i, v in enumerate(dou.counters)
-                            if v != counters_pre[i]
-                        ),
-                        occ_cur,
-                    ))
-                    occ_cur = occ_next
-                acts = []
+                    moved += dou.step()
                 for column in edge_objs[offset]:
                     if column.halted:
                         continue
@@ -1956,52 +1758,108 @@ class CompiledEngine(Engine):
                     credit = credits[cindex]
                     if credit:
                         credits[cindex] = credit - 1
-                        acts.append((0, cindex))
                         continue
                     runner = runners[cindex]
                     if runner is not None:
+                        # tick is this column's edge
+                        # (tick % d == 0), so the edges left in
+                        # the window are a pure ceiling division.
                         divider = dividers[cindex]
-                        pre_pc = column.controller.pc
                         consumed = runner.run_edges(
-                            (limit - tick + divider - 1) // divider
+                            (limit - tick + divider - 1)
+                            // divider
                         )
                         if consumed:
                             credits[cindex] = consumed - 1
-                            ctrl = column.controller
-                            acts.append((
-                                1, cindex, pre_pc, consumed,
-                                ctrl.pc, runner.comm_head(pre_pc),
-                                len(ctrl._loop_stack),
-                            ))
                             continue
                     column.step_tile_clock()
-                    ctrl = column.controller
-                    acts.append((
-                        3, cindex, ctrl.pc, column.halted,
-                        ctrl._pending is not None,
-                        len(ctrl._loop_stack),
-                    ))
                     if column.halted:
                         live -= 1
-                armed.items.append((
-                    "t", occ_cur, tuple(per_dou), tuple(acts),
-                ))
-                if len(armed.items) > LOCKSTEP_REC_CAP:
-                    armed = None
                 stepped_ticks += 1
                 tick += 1
                 offset += 1
                 if offset == period:
                     offset = 0
-            profile["dense_ticks"] += stepped_ticks
-            if self._demotable and tick < limit:
-                before = len(self._stepped)
-                self._demote_quiescent()
-                if len(self._stepped) != before:
-                    # The stepped set changed: recorded items are no
-                    # longer aligned with it; restart the hunt.
-                    sigs.clear()
-                    armed = None
+                continue
+            # Armed: the same tick, instrumented with the
+            # occupancy snapshots and per-DOU stat deltas the
+            # round compiler needs.  One round per signature pays
+            # this; the steady state never does.
+            occ_cur = armed.occ()
+            per_dou = []
+            moved = 0
+            for dou in dous:
+                state_pre = dou.state_index
+                blocked_pre = dou.blocked_cycles
+                retired_pre = dou.words_retired
+                bus = dou.bus
+                bus_words_pre = bus.words_moved
+                bus_traffic_pre = bus.cycles_with_traffic
+                counters_pre = tuple(dou.counters)
+                words = dou.step()
+                moved += words
+                occ_next = armed.occ()
+                per_dou.append((
+                    state_pre, words, occ_next != occ_cur,
+                    dou.blocked_cycles - blocked_pre,
+                    bus.words_moved - bus_words_pre,
+                    bus.cycles_with_traffic - bus_traffic_pre,
+                    dou.words_retired - retired_pre,
+                    dou.state_index,
+                    tuple(
+                        (i, v)
+                        for i, v in enumerate(dou.counters)
+                        if v != counters_pre[i]
+                    ),
+                    occ_cur,
+                ))
+                occ_cur = occ_next
+            acts = []
+            for column in edge_objs[offset]:
+                if column.halted:
+                    continue
+                cindex = column.index
+                credit = credits[cindex]
+                if credit:
+                    credits[cindex] = credit - 1
+                    acts.append((0, cindex))
+                    continue
+                runner = runners[cindex]
+                if runner is not None:
+                    divider = dividers[cindex]
+                    pre_pc = column.controller.pc
+                    consumed = runner.run_edges(
+                        (limit - tick + divider - 1) // divider
+                    )
+                    if consumed:
+                        credits[cindex] = consumed - 1
+                        ctrl = column.controller
+                        acts.append((
+                            1, cindex, pre_pc, consumed,
+                            ctrl.pc, runner.comm_head(pre_pc),
+                            len(ctrl._loop_stack),
+                        ))
+                        continue
+                column.step_tile_clock()
+                ctrl = column.controller
+                acts.append((
+                    3, cindex, ctrl.pc, column.halted,
+                    ctrl._pending is not None,
+                    len(ctrl._loop_stack),
+                ))
+                if column.halted:
+                    live -= 1
+            armed.items.append((
+                "t", occ_cur, tuple(per_dou), tuple(acts),
+            ))
+            if len(armed.items) > LOCKSTEP_REC_CAP:
+                armed = None
+            stepped_ticks += 1
+            tick += 1
+            offset += 1
+            if offset == period:
+                offset = 0
+        profile["dense_ticks"] += stepped_ticks
         return tick
 
     # ------------------------------------------------------------------
@@ -2097,9 +1955,6 @@ class CompiledEngine(Engine):
                 path_of[id(dou)] = ("d", i)
                 if dou.bus is not None:
                     path_of[id(dou.bus)] = ("b", i)
-                for s, plan in enumerate(dou._plans):
-                    if plan is not None:
-                        path_of[id(plan)] = ("p", i, s)
                 for s, lap in enumerate(dou._lap_plans):
                     if lap is not None:
                         path_of[id(lap)] = ("l", i, s)
@@ -2116,8 +1971,6 @@ class CompiledEngine(Engine):
             return self._lock_buffers()[0][path[1]]
         if kind == "d":
             return self._all_dous[path[1]]
-        if kind == "p":
-            return self._all_dous[path[1]]._plans[path[2]]
         if kind == "l":
             return self._all_dous[path[1]]._lap_plans[path[2]]
         if kind == "b":
@@ -2201,7 +2054,7 @@ class CompiledEngine(Engine):
         stepped = self._stepped
         return (
             tick % period, self.chip.clock.dividers,
-            tuple(stepped), tuple(self._credits),
+            stepped, tuple(self._credits),
             tuple([dous[i].state_index for i in stepped]),
             tuple(cols),
         )
@@ -2271,9 +2124,9 @@ class CompiledEngine(Engine):
         PLL-relock gate are skipped by both engines and owe nothing.
         Every DOU's cycle counter must advance by exactly the window
         span (the reference loop steps every machine every tick), so
-        any shortfall - a machine inert from the start, or demoted to
-        quiescence partway through the window - is settled in closed
-        form through :meth:`~repro.arch.dou.Dou.fast_forward`.  The
+        the shortfall of every inert machine, which is never stepped,
+        is settled in closed form through
+        :meth:`~repro.arch.dou.Dou.fast_forward`.  The
         clock tree is constant within a window (retunes commit only
         between windows), so ``edges_in`` is exact.
         """
@@ -2301,11 +2154,8 @@ class CompiledEngine(Engine):
         """Drain the buses for ``ticks`` after every column halted.
 
         A live DOU may still hold in-flight words at halt time, so the
-        dense drain steps those faithfully - but a machine that has
-        already parked in a quiescent orbit (a ``repeat=k`` schedule
-        whose repeats are done) is demoted first and never stepped;
-        its drain cycles, the owed bubble edges, and every other
-        non-stepped DOU settle arithmetically.
+        drain steps every stepped DOU faithfully; the owed bubble
+        edges and the cycles of the inert DOUs settle arithmetically.
         """
         profiling = self.profile_enabled
         mark = perf_counter() if profiling else 0.0
@@ -2315,7 +2165,6 @@ class CompiledEngine(Engine):
             column.tile_cycles for column in chip.columns
         ]
         dou_cycles = [dou.cycles for dou in self._all_dous]
-        self._demote_quiescent()
         if self._stepped:
             dous = [self._all_dous[index] for index in self._stepped]
             for _ in range(ticks):

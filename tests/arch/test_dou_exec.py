@@ -4,8 +4,9 @@ The fast path of ``Dou.step`` must be byte-for-byte indistinguishable
 from the generic interpreter on every counter and every buffer, and
 must refuse to compile states whose semantics need the interpreter
 (structural hazards, undriven captures, missing ports).  The
-quiescence analysis underpinning engine demotion is checked for
-closure and monotonicity.
+quiescence analysis behind inert-machine accounting is checked for
+closure and monotonicity, and the no-progress orbit API the engine
+batches stalls with is checked directly.
 """
 
 import pytest
@@ -272,18 +273,19 @@ def test_fast_forward_allowed_only_in_quiescent_orbit():
 def test_starved_self_loop_and_fast_stall():
     program = broadcast_schedule()  # single-state permissive loop
     dou, writes, reads = _rig(program, strict=False)
-    assert dou.starved_self_loop()
-    dou.fast_stall(7)
+    effects = dou.stall_orbit()
+    assert effects == [(1, 0)]  # one blocked cycle, nothing on the wire
+    dou.fast_stall_orbit(effects, 7)
     assert dou.cycles == 7 and dou.blocked_cycles == 7
     writes[0].push(1)
-    assert not dou.starved_self_loop()  # a word arrived
+    assert dou.stall_orbit() is None  # a word arrived
     dou.step()
     assert dou.words_retired == 1
-    assert dou.starved_self_loop()  # drained again
+    assert dou.stall_orbit() == [(1, 0)]  # drained again
 
 
 def test_strict_schedules_never_stall_batch():
     program = broadcast_schedule()
     dou, _, _ = _rig(program, strict=True)
     # Strict starvation is an error, not a stall: batching must be off.
-    assert not dou.starved_self_loop()
+    assert dou.stall_orbit() is None

@@ -1,11 +1,12 @@
 """Compute-plane compilation differentials: runner vs reference.
 
 The compiled engine pre-executes column compute through three layers -
-per-run generated code blocks, closed-form loop iteration with numpy
-batch arithmetic, and comm-headed run issue with lightweight ENDLOOP
-resolution.  Each layer must be invisible: statistics and
-architectural state bit-identical to the reference engine, errors
-raised with the same message from the same cross-tile ordering.
+per-run generated code blocks, loop iteration inside one runner call
+(closed form for affine ADDI/NOP bodies), and comm-headed run issue
+with lightweight ENDLOOP resolution.  Each layer must be invisible:
+statistics and architectural state bit-identical to the reference
+engine, errors raised with the same message from the same cross-tile
+ordering.
 
 These tests drive every dispatch kind the runner compiles (straight
 runs, loop plans, comm-headed runs, light loop ends) plus the shapes
@@ -223,10 +224,25 @@ def test_comm_headed_send_only_stream():
 
 
 # ----------------------------------------------------------------------
-# the numpy batch path
+# compiled loops
 # ----------------------------------------------------------------------
-def test_long_fir_loop_vectorizes():
-    """A long LD/LD/MAC loop takes the numpy closed-form path."""
+def _run_compiled(config, program, prepare=lambda chip: None):
+    """Reference stats, compiled stats, the compiled chip and engine."""
+
+    def build():
+        chip = Chip(config, programs=[program])
+        prepare(chip)
+        return chip
+
+    reference = Simulator(build(), engine="reference").run()
+    chip = build()
+    engine = CompiledEngine(chip)
+    return reference, engine.run(), chip, engine
+
+
+def test_long_fir_loop_runs_in_one_runner_call():
+    """A long LD/LD/MAC loop runs its body once per iteration, every
+    iteration inside the same runner call."""
     taps = 4096
     program = assemble(f"""
         movi p0, 0
@@ -246,19 +262,44 @@ def test_long_fir_loop_vectorizes():
     samples = [(i * 7 + 3) & 0xFFFF for i in range(taps)]
     coeffs = [(i * 5 + 1) & 0xFF for i in range(taps)]
 
-    def build():
-        chip = Chip(config, programs=[program])
+    def load(chip):
         for tile in chip.columns[0].tiles:
             tile.load_memory(0, samples)
             tile.load_memory(taps, coeffs)
-        return chip
 
-    reference = Simulator(build(), engine="reference").run()
-    chip = build()
-    engine = CompiledEngine(chip)
-    assert engine.run() == reference
+    reference, compiled, chip, engine = _run_compiled(
+        config, program, load,
+    )
+    assert compiled == reference
     expected = sum(a * b for a, b in zip(samples, coeffs))
     assert chip.columns[0].tiles[0].regs.read_signed("A0") == expected
     profile = engine.profile_snapshot()
-    assert profile["vector_batches"] > 0
-    assert profile["vector_iterations"] > taps // 2
+    assert profile["runner_edges"] >= 3 * taps
+    assert profile["vector_batches"] == 0
+
+
+def test_affine_loop_settles_in_closed_form():
+    """An ADDI/NOP loop body settles every iteration in one batch,
+    with the counters wrapped exactly as the reference wraps them."""
+    trips = 1000
+    program = assemble(f"""
+        movi r1, 0
+        movi r2, 5
+        loop {trips}
+          addi r1, r1, 3
+          nop
+          addi r2, r2, -7
+        endloop
+        halt
+    """)
+    config = ChipConfig(
+        reference_mhz=100.0, columns=(ColumnConfig(divider=2),),
+    )
+    reference, compiled, chip, engine = _run_compiled(config, program)
+    assert compiled == reference
+    for tile in chip.columns[0].tiles:
+        assert tile.regs.read("R1") == 3 * trips
+        assert tile.regs.read_signed("R2") == 5 - 7 * trips
+    profile = engine.profile_snapshot()
+    assert profile["vector_batches"] == 1
+    assert profile["vector_iterations"] == trips

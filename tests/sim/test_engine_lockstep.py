@@ -128,8 +128,8 @@ def build_fed_stream(dividers: tuple = (8, 4, 8)) -> Chip:
 
     Nothing on the chip feeds or drains that stream: the test tops it
     up between windows (:func:`feed_stream`), so the DOU moves one
-    word per tick through edge-free stretches - merged lap runs, the
-    only rounds with lap guards - until the backlog runs dry mid-round.
+    word per tick through edge-free stretches - lap applications in
+    the recorded rounds - until the backlog runs dry mid-round.
     """
     samples = 400
     producer, consumer, to_port, fan_out = streaming_programs(samples)
@@ -593,9 +593,9 @@ def test_entered_round_compiles_once_across_engines(
 @pytest.mark.parametrize("dividers, window, words, reasons", [
     # Occupancy drift: entry checks fail, rounds still replay.
     ((4, 2, 2), 48, 20, {"occupancy"}),
-    # A backlog that runs dry mid-round: merged-lap guards, diverging
-    # lap applications, and a clock edge off its recorded path.
-    ((8, 4, 8), 96, 60, {"edge", "divergence", "lap_guard"}),
+    # A backlog that runs dry mid-round: diverging lap applications
+    # and a clock edge off its recorded path.
+    ((8, 4, 8), 96, 60, {"edge", "divergence"}),
 ])
 def test_mid_round_aborts_settle_deferred_writes(
     dividers, window, words, reasons,
@@ -606,9 +606,8 @@ def test_mid_round_aborts_settle_deferred_writes(
     round end; a DOU's state and counters wait until it is really
     stepped.  An abort must apply exactly what was owed at that site.
     Feeding the stream a varying backlog between windows makes rounds
-    stop at entry, at a clock edge, at a diverging lap, and at a
-    merged-lap guard; every statistic must match the reference engine
-    after every window.
+    stop at entry, at a clock edge, and at a diverging lap; every
+    statistic must match the reference engine after every window.
     """
     rng = random.Random(1)
 

@@ -2,9 +2,10 @@
 
 The speedup floors catch a perf regression only on full-size runs;
 what they cannot see is a *guard* regression - a change that makes
-lockstep rounds, fused comm-headed runner calls, or orbit laps
-silently stop engaging while the dense fallback still produces
-correct (bit-identical) statistics at a fraction of the speed.  On
+lockstep rounds, fused comm-headed runner calls, orbit laps, or
+closed-form loop batches silently stop engaging while the fallback
+still produces correct (bit-identical) statistics at a fraction of
+the speed.  On
 smoke-sized CI runs the wall clocks are noise but the event counters
 are exact, so this tool reads a profiled ``BENCH_engine.json`` and
 fails when any watched counter is zero on a workload that is known
@@ -12,7 +13,9 @@ to drive it.
 
 ``ddc_pipeline`` is the canonical probe: live DOUs on every bus keep
 the orbit batcher, the lockstep compiler, and the comm-headed run
-fusion all active even at smoke sizes.
+fusion all active even at smoke sizes.  ``mixed_dividers`` runs
+``ADDI``-only loops, which the column runner settles in closed form
+(``vector_batches``).
 
 Usage::
 
@@ -33,6 +36,7 @@ REQUIRED_COUNTERS = {
         "orbit_laps",
         "fused_runner_calls",
     ),
+    "mixed_dividers": ("vector_batches",),
 }
 
 
