@@ -383,53 +383,45 @@ class Dou:
         self.state_index = orbit[rem]
 
     def lap_plan(self, state_index: int):
-        """The whole-lap transfer vector starting at ``state_index``.
+        """The lap transfer vector of ``state_index``, or ``None``.
 
-        ``None`` when the state sits on no closed full-transfer orbit
-        (see :func:`~repro.arch.dou_exec.compile_lap_plans`); a plan is
-        applied with :meth:`apply_laps`.
+        ``None`` unless the state is a transferring self-loop (see
+        :func:`~repro.arch.dou_exec.compile_lap_plans`); a plan is
+        applied with :meth:`apply_lap`.
         """
         return self._lap_plans[state_index]
 
-    def apply_laps(self, plan, k: int) -> bool:
-        """Settle ``k`` whole orbit laps in bulk; False = guards failed.
+    def apply_lap(self, plan) -> bool:
+        """Settle one lap of ``plan``; False = guards failed.
 
-        Exactly equivalent to ``k * plan.length`` consecutive
-        :meth:`step` calls *when every one of those steps would take
-        the full-transfer fast path* - which the aggregated guards
-        (every source holds ``>= k`` words, every destination has room
-        for ``k`` more) certify, because the orbit's states pop each
-        source and push each destination at most once per lap.  When a
-        guard fails nothing is applied and the caller must fall back
-        to single stepping; the interpreter then handles whatever the
-        truth is (partial starvation, backpressure, strict errors).
-
-        The caller must hold ``state_index`` at the state the plan was
-        compiled for; ``k`` full laps return the pointer there, so it
-        is left untouched.  Span fractions accumulate one addition per
+        Exactly equivalent to one :meth:`step` *when that step would
+        take the full-transfer fast path* - which the guards (every
+        source holds a word, every destination has room) certify.
+        When a guard fails nothing is applied and the caller must
+        fall back to :meth:`step`; the interpreter then handles
+        whatever the truth is (partial starvation, backpressure,
+        strict errors).  The state is a self-loop, so the pointer is
+        left untouched.  Span fractions accumulate one addition per
         retire in interpreter order - float-exact against the
         reference.
         """
         for words in plan.sources:
-            if len(words) < k:
+            if not words:
                 return False
         for words, capacity in plan.rooms:
-            if len(words) + k > capacity:
+            if len(words) >= capacity:
                 return False
-        plan.apply(k)
-        ticks = plan.length * k
-        self.cycles += ticks
-        self.words_moved += plan.n_captures * k
-        self.words_retired += plan.n_drives * k
+        plan.apply()
+        self.cycles += 1
+        self.words_moved += plan.n_captures
+        self.words_retired += plan.n_drives
         span = self.span_words
-        spans = plan.spans
-        for _ in range(k):
-            for value in spans:
-                span += value
+        for value in plan.spans:
+            span += value
         self.span_words = span
         bus = self.bus
-        bus.words_moved += plan.n_drives * k
-        bus.cycles_with_traffic += ticks
+        bus.words_moved += plan.n_drives
+        bus.cycles_with_traffic += 1
         return True
 
     def _advance(self) -> None:

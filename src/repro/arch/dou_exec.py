@@ -33,8 +33,6 @@ cases stay byte-for-byte identical to the uncompiled machine.
 
 from __future__ import annotations
 
-from itertools import islice
-
 __all__ = [
     "StatePlan", "LapPlan", "compile_state_plans", "compile_orbits",
     "compile_lap_plans",
@@ -248,50 +246,41 @@ def compile_orbits(program, plans) -> tuple:
 
 
 class LapPlan:
-    """One whole orbit lap compiled into a bulk transfer vector.
+    """One lap of a single-state orbit compiled into a transfer vector.
 
-    Where :class:`StatePlan` compiles one state's cycle, a lap plan
-    compiles one full trip around a closed unconditional orbit in
-    which *every* state performs its complete transfer.  Under the
-    aggregated guards (every source holds at least ``k`` words, every
-    destination has room for ``k`` more), ``k`` consecutive laps move
-    exactly the words the interpreter would move tick by tick - the
-    per-buffer word *sequences* are identical, not just the counts -
-    so an engine may apply whole laps as deque bulk operations
-    (:meth:`~repro.arch.dou.Dou.apply_laps`) instead of stepping
-    ``k * len(orbit)`` dense ticks.
+    Where :class:`StatePlan` compiles one state's cycle for the dense
+    fast path, a lap plan compiles a state that transfers and then
+    returns to itself unconditionally, so one lap is one cycle.  Under
+    its guards (every source holds a word, every destination has
+    room) the lap moves exactly the words the interpreter would move,
+    which lets a lockstep round apply it as deque operations
+    (:meth:`~repro.arch.dou.Dou.apply_lap`) instead of re-stepping the
+    machine.
 
     Exactness needs structural restrictions, enforced at compile time
-    (states whose orbit violates them simply keep ``lap_plan=None``
-    and are stepped singly):
+    (states that violate them keep ``lap_plan=None`` and are stepped
+    singly):
 
-    * every orbit state transfers (``n_drives >= 1`` and every drive
-      retires) - an idle state inside the orbit would make "full lap"
-      occupancy-dependent;
-    * each source buffer is popped by at most one orbit state and
-      each destination pushed by at most one capture per lap, so a
-      bulk ``extend`` of the source's first ``k`` words reproduces the
-      interleaved per-tick push order exactly;
-    * no buffer is both a source and a destination anywhere in the
-      orbit (intra-lap feeding would change which words are eligible
-      mid-lap).
+    * the state transfers (``n_drives >= 1`` and every drive retires);
+    * each source buffer is popped once and each destination pushed
+      by one capture, so appending the source's head word reproduces
+      the interpreter's push order;
+    * no buffer is both a source and a destination (the lap would
+      feed itself).
 
-    ``spans`` keeps the per-retire span values in interpreter (state,
-    then drive) order: float accumulation is order sensitive, so
-    :meth:`~repro.arch.dou.Dou.apply_laps` replays the additions one
-    lap at a time rather than multiplying.
+    ``spans`` keeps the per-retire span values in interpreter (drive)
+    order: float accumulation is order sensitive.
     """
 
     __slots__ = (
-        "length", "captures", "drains", "sources", "rooms", "spans",
-        "n_captures", "n_drives", "words_per_lap",
+        "captures", "drains", "sources", "rooms", "spans",
+        "n_captures", "n_drives",
     )
 
     def __init__(
-        self, length, captures, drains, sources, rooms, spans,
+        self, captures, drains, sources, rooms, spans,
         n_captures, n_drives,
     ) -> None:
-        self.length = length
         self.captures = captures
         self.drains = drains
         self.sources = sources
@@ -299,71 +288,48 @@ class LapPlan:
         self.spans = spans
         self.n_captures = n_captures
         self.n_drives = n_drives
-        #: bus words driven per lap (== retired drives: full transfer)
-        self.words_per_lap = n_drives
 
-    def apply(self, k: int) -> None:
-        """Move ``k`` laps' words in bulk.  Guards must already hold."""
+    def apply(self) -> None:
+        """Move one lap's words.  Guards must already hold."""
         for dest_words, dest_buffer, src_words in self.captures:
-            dest_words.extend(islice(src_words, k))
-            dest_buffer.total_pushed += k
+            dest_words.append(src_words[0])
+            dest_buffer.total_pushed += 1
         for src_words, src_buffer in self.drains:
-            for _ in range(k):
-                src_words.popleft()
-            src_buffer.total_popped += k
+            src_words.popleft()
+            src_buffer.total_popped += 1
 
 
-def _compile_lap(plans, orbit):
-    if orbit is None:
-        return None
-    captures = []
-    drains = []
-    sources = []
-    rooms = []
-    spans = []
-    src_ids = set()
-    dest_ids = set()
-    for index in orbit:
-        plan = plans[index]
-        if plan.n_drives == 0 or plan.n_captures == 0:
-            return None  # idle orbit state: no full-transfer lap
-        pushes: dict = {}
-        for dest_words, dest_buffer, src_words in plan.captures:
-            key = id(dest_words)
-            if key in dest_ids or key in pushes:
-                return None  # one push per destination per lap
-            pushes[key] = dest_buffer
-            captures.append((dest_words, dest_buffer, src_words))
-            rooms.append((dest_words, dest_buffer.capacity))
-        dest_ids.update(pushes)
-        for src_words, src_buffer in plan.drains:
-            key = id(src_words)
-            if key in src_ids:
-                return None  # one pop per source per lap
-            src_ids.add(key)
-            drains.append((src_words, src_buffer))
-            sources.append(src_words)
-        spans.extend(plan.spans)
-    if src_ids & dest_ids:
-        return None  # a buffer fed by the orbit also feeds it
+def _compile_lap(plan):
+    if plan.n_drives == 0 or plan.n_captures == 0:
+        return None  # idle state: no full-transfer lap
+    dest_ids = {id(dest_words) for dest_words, _, _ in plan.captures}
+    src_ids = {id(src_words) for src_words, _ in plan.drains}
+    if len(dest_ids) < plan.n_captures \
+            or len(src_ids) < plan.n_drives or src_ids & dest_ids:
+        return None  # a buffer pushed or popped twice, or fed by the lap
     return LapPlan(
-        length=len(orbit),
-        captures=tuple(captures),
-        drains=tuple(drains),
-        sources=tuple(sources),
-        rooms=tuple(rooms),
-        spans=tuple(spans),
-        n_captures=len(captures),
-        n_drives=len(drains),
+        captures=plan.captures,
+        drains=plan.drains,
+        sources=plan.sources,
+        rooms=tuple(
+            (dest_words, dest_buffer.capacity)
+            for dest_words, dest_buffer, _ in plan.captures
+        ),
+        spans=plan.spans,
+        n_captures=plan.n_captures,
+        n_drives=plan.n_drives,
     )
 
 
 def compile_lap_plans(plans, orbits) -> tuple:
-    """Per-state whole-lap transfer vectors (``None`` = step singly).
+    """Per-state lap transfer vectors (``None`` = step singly).
 
-    ``lap_plans[s]`` batches laps of the orbit *starting at* ``s``;
-    each member of a closed orbit gets its own rotation, so an engine
-    may start lapping from whichever state the machine currently
-    occupies.
+    Only a state whose orbit is the state itself gets a plan: a
+    lockstep round applies a lap in place of one recorded step, which
+    leaves the state pointer where it was only on a self-loop.
     """
-    return tuple(_compile_lap(plans, orbit) for orbit in orbits)
+    return tuple(
+        _compile_lap(plans[orbit[0]])
+        if orbit is not None and len(orbit) == 1 else None
+        for orbit in orbits
+    )

@@ -24,10 +24,7 @@ pipeline and every assertion cheaply.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
+from repro.eval.runner import smoke
 from repro.workloads.coordinated import (
     PIPELINE_GOVERNORS,
     PipelineResult,
@@ -59,10 +56,6 @@ SCENARIOS = {
 _SMOKE_FRAMES = 8
 
 
-def _smoke() -> bool:
-    return os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-
-
 def evaluate_scenario(key: str, frames: int | None = None) -> dict:
     """{policy: PipelineResult} for one scenario, differentially run.
 
@@ -72,7 +65,7 @@ def evaluate_scenario(key: str, frames: int | None = None) -> dict:
     that keeps multi-column governed striding honest.
     """
     factory = SCENARIOS[key]
-    if frames is None and _smoke():
+    if frames is None and smoke():
         frames = _SMOKE_FRAMES
     # `is not None`, not truthiness: an explicit frames=0 must reach
     # the scenario constructor and fail its no-frames validation
@@ -228,7 +221,7 @@ def bench_payload(evaluations: dict | None = None) -> dict:
                        "provisioning (energy at zero deadline misses; "
                        "gated-rail accounting with re-wake charges; "
                        "reference/compiled engines bit-identical)",
-        "smoke": _smoke(),
+        "smoke": smoke(),
         "conservation_tolerance": CONSERVATION_TOLERANCE,
         "contract": findings,
         "scenarios": scenarios,
@@ -261,16 +254,3 @@ def render(evaluations: dict | None = None) -> str:
             )
     return "\n".join(lines)
 
-
-def write_bench(
-    directory: str | Path = ".",
-    payload: dict | None = None,
-) -> Path:
-    """Write ``BENCH_coordinated.json``; returns the path."""
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / "BENCH_coordinated.json"
-    target.write_text(
-        json.dumps(payload or bench_payload(), indent=2) + "\n"
-    )
-    return target

@@ -14,10 +14,7 @@ pipeline and its assertions without paying the full trace length.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
+from repro.eval.runner import smoke
 from repro.workloads.coordinated import PipelineResult, run_pipeline
 from repro.workloads.dvfs import mpeg4_scene_scenario, wlan_mcs_scenario
 
@@ -36,14 +33,10 @@ SCENARIOS = {
 _SMOKE_FRAMES = 10
 
 
-def _smoke() -> bool:
-    return os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-
-
 def evaluate_scenario(key: str, frames: int | None = None) -> dict:
     """{governor: PipelineResult} for one scenario."""
     factory = SCENARIOS[key]
-    if frames is None and _smoke():
+    if frames is None and smoke():
         frames = _SMOKE_FRAMES
     # `is not None`, not truthiness: an explicit frames=0 must reach
     # the scenario constructor and fail its no-frames validation
@@ -158,7 +151,7 @@ def bench_payload(evaluations: dict | None = None) -> dict:
                        "provisioning on bursty scenarios (energy at "
                        "zero deadline misses, conservation exact "
                        "including transition charges)",
-        "smoke": _smoke(),
+        "smoke": smoke(),
         "conservation_tolerance": CONSERVATION_TOLERANCE,
         "contract": findings,
         "scenarios": scenarios,
@@ -190,16 +183,3 @@ def render(evaluations: dict | None = None) -> str:
             )
     return "\n".join(lines)
 
-
-def write_bench(
-    directory: str | Path = ".",
-    payload: dict | None = None,
-) -> Path:
-    """Write ``BENCH_dvfs.json`` into ``directory``; returns the path."""
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / "BENCH_dvfs.json"
-    target.write_text(
-        json.dumps(payload or bench_payload(), indent=2) + "\n"
-    )
-    return target

@@ -49,14 +49,13 @@ statistics are asserted bit-identical to the untraced runs.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from pathlib import Path
 
 from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou_compiler import Transfer, compile_schedule
+from repro.eval.runner import smoke
 from repro.isa.assembler import assemble
 from repro.sim.simulator import Simulator
 
@@ -85,10 +84,6 @@ SPEEDUP_FLOORS = {
     "ddc_pipeline": 6.0,
     "governed_burst": 8.0,
 }
-
-
-def _smoke() -> bool:
-    return os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +180,7 @@ def _run_fir(engine: str):
     from repro.kernels.base import run_kernel
     from repro.kernels.fir import build_fir_kernel
 
-    windows = 6 if _smoke() else 24
+    windows = 6 if smoke() else 24
     kernel = _KERNELS.get(("fir", windows))
     if kernel is None:
         kernel = build_fir_kernel(windows=windows)
@@ -197,7 +192,7 @@ def _run_wlan_acs(engine: str):
     from repro.kernels.base import run_kernel
     from repro.kernels.viterbi_acs import build_acs_kernel
 
-    steps = 8 if _smoke() else 64
+    steps = 8 if smoke() else 64
     kernel = _KERNELS.get(("wlan_acs", steps))
     if kernel is None:
         kernel = build_acs_kernel(steps=steps)
@@ -211,7 +206,7 @@ def _run_mixed_dividers(engine: str):
 
 
 def _run_ddc_pipeline(engine: str):
-    samples = 40 if _smoke() else 200
+    samples = 40 if smoke() else 200
     chip = build_ddc_stream_chip(samples=samples)
     return Simulator(chip, engine=engine).run(max_ticks=1_000_000)
 
@@ -220,7 +215,7 @@ def _run_governed_burst(engine: str):
     from repro.workloads.coordinated import run_pipeline
     from repro.workloads.dvfs import wlan_mcs_scenario
 
-    scenario = wlan_mcs_scenario(frames=6 if _smoke() else 16)
+    scenario = wlan_mcs_scenario(frames=6 if smoke() else 16)
     return run_pipeline(scenario, "occupancy_pi", engine=engine).run.stats
 
 
@@ -346,7 +341,7 @@ def below_floor(evaluations: dict) -> list:
     until per-run fixed costs (chip build, plan compilation) dominate
     the wall clock, so the ratios stop measuring the striding fabric.
     """
-    if _smoke():
+    if smoke():
         return []
     failed = []
     for key, evaluation in evaluations.items():
@@ -391,7 +386,7 @@ def bench_payload(evaluations: dict | None = None) -> dict:
                        "workload (bit-identical statistics asserted; "
                        "recorded floors enforced by the runner on "
                        "full-size runs, tighter bars in benchmarks/)",
-        "smoke": _smoke(),
+        "smoke": smoke(),
         "repeats": REPEATS,
         "workloads": workloads,
     }
@@ -517,15 +512,145 @@ def trace_workloads(
     return summary
 
 
-def write_bench(
-    directory: str | Path = ".",
-    payload: dict | None = None,
-) -> Path:
-    """Write ``BENCH_engine.json`` into ``directory``; returns the path."""
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / "BENCH_engine.json"
-    target.write_text(
-        json.dumps(payload or bench_payload(), indent=2) + "\n"
-    )
-    return target
+# ----------------------------------------------------------------------
+# artifact rules (tools/check_artifact.py)
+# ----------------------------------------------------------------------
+#: Counters every ``profile`` block must carry - the
+#: :meth:`~repro.sim.engine.CompiledEngine.profile_snapshot` keys.  A
+#: renamed or dropped counter would otherwise read as zero.
+PROFILE_COUNTERS = (
+    "compile_s", "dense_s", "sparse_s", "settle_s", "drain_s",
+    "dense_ticks", "batch_events", "batched_ticks", "sparse_steps",
+    "parked_edges", "lockstep_batches", "orbit_laps",
+    "fused_runner_calls", "runner_calls", "runner_edges",
+    "vector_batches", "vector_iterations",
+)
+
+#: Workload -> profile counters that must be positive on it, even at
+#: smoke size, where wall clocks are noise but counters are exact.
+#: Live DOUs on every bus keep ddc_pipeline's lockstep rounds, orbit
+#: laps, and fused comm-headed runner calls engaged; mixed_dividers'
+#: ``ADDI``-only loops settle in closed form.  A zero means a guard
+#: regressed and the tier fell back to slower, still-correct stepping.
+ENGAGED_TIERS = {
+    "ddc_pipeline": (
+        "lockstep_batches", "orbit_laps", "fused_runner_calls",
+    ),
+    "mixed_dividers": ("vector_batches",),
+}
+
+#: Largest relative fall of a workload's speedup, or rise of its
+#: dense-phase share, that :func:`compare_baseline` lets through.
+BASELINE_TOLERANCE = 0.2
+
+# Phase buckets that partition a profiled run's attributed wall time.
+_PHASE_BUCKETS = ("dense_s", "sparse_s", "settle_s", "drain_s")
+
+
+def check_bench(payload: dict) -> list:
+    """Failures in a ``BENCH_engine`` payload's profiles (empty = valid).
+
+    Every ``profile`` block must carry each of
+    :data:`PROFILE_COUNTERS`, and every workload of
+    :data:`ENGAGED_TIERS` must carry a profile (``--profile`` runs) in
+    which its tier counters are positive.
+    """
+    failures = []
+    workloads = payload.get("workloads", {})
+    for key, entry in workloads.items():
+        profile = entry.get("profile")
+        if isinstance(profile, dict):
+            missing = sorted(set(PROFILE_COUNTERS) - set(profile))
+            if missing:
+                failures.append(
+                    f"{key}: profile block is missing required "
+                    f"counters: {', '.join(missing)}"
+                )
+    for key, counters in ENGAGED_TIERS.items():
+        if key not in workloads:
+            failures.append(f"workload {key!r} missing from artifact")
+            continue
+        profile = workloads[key].get("profile")
+        if not isinstance(profile, dict):
+            failures.append(f"{key}: no profile attached - run the "
+                            f"bench with --profile")
+            continue
+        for counter in counters:
+            value = profile.get(counter, 0)
+            if not isinstance(value, (int, float)) or value <= 0:
+                failures.append(f"{key}: {counter} is {value!r} - "
+                                f"the tier never engaged")
+    return failures
+
+
+def _dense_share(entry: dict) -> float | None:
+    """dense_s as a fraction of all phase buckets, or None."""
+    profile = entry.get("profile")
+    if not isinstance(profile, dict):
+        return None
+    total = sum(float(profile.get(key, 0.0)) for key in _PHASE_BUCKETS)
+    if total <= 0.0:
+        return None
+    return float(profile.get("dense_s", 0.0)) / total
+
+
+def compare_baseline(fresh: dict, baseline: dict) -> list:
+    """Failures of a fresh ``BENCH_engine`` against a baseline one.
+
+    Prints one row per baseline workload.  Smoke and full-size
+    artifacts are never compared (smoke runs measure fixed costs),
+    and every baseline workload must be in the fresh run.  A speedup
+    more than :data:`BASELINE_TOLERANCE` below the baseline fails, and
+    so does a dense-phase share of compiled wall time that grew by
+    more than that fraction: dense ticking is the fallback tier, so
+    its share creeping up means a striding tier stopped engaging.
+    Improvements and new workloads never fail, and a baseline entry
+    without a field read here is skipped with a note.
+    """
+    for artifact in (fresh, baseline):
+        if artifact.get("artifact") != "BENCH_engine":
+            return [f"not a BENCH_engine artifact: "
+                    f"{artifact.get('artifact')!r}"]
+    if fresh.get("smoke") != baseline.get("smoke"):
+        return [f"smoke flags differ (fresh={fresh.get('smoke')}, "
+                f"baseline={baseline.get('smoke')}); smoke and "
+                f"full-size ratios are not comparable"]
+    failures = []
+    workloads = fresh.get("workloads", {})
+    baseline_workloads = baseline.get("workloads", {})
+    for key, base_entry in baseline_workloads.items():
+        entry = workloads.get(key)
+        if entry is None:
+            failures.append(f"workload {key!r} missing from fresh run")
+            print(f"{key:<16} MISSING")
+            continue
+        base, speedup = base_entry.get("speedup"), entry.get("speedup")
+        if base is None or speedup is None:
+            print(f"{key:<16} SKIPPED (no speedup field)")
+            continue
+        verdict = "ok"
+        if speedup < (1.0 - BASELINE_TOLERANCE) * base:
+            verdict = "REGRESSED"
+            failures.append(
+                f"{key}: speedup {speedup:.2f}x is more than "
+                f"{BASELINE_TOLERANCE:.0%} below the baseline "
+                f"{base:.2f}x"
+            )
+        base_share, share = _dense_share(base_entry), _dense_share(entry)
+        note = ""
+        if base_share is not None and share is not None:
+            note = f"  dense {base_share:.1%} -> {share:.1%}"
+            if share > (1.0 + BASELINE_TOLERANCE) * base_share:
+                verdict = "DENSE-SHARE"
+                failures.append(
+                    f"{key}: dense-phase share grew from "
+                    f"{base_share:.1%} to {share:.1%} (more than "
+                    f"{BASELINE_TOLERANCE:.0%} relative) - a striding "
+                    f"tier stopped engaging"
+                )
+        print(f"{key:<16} {base:>8.2f}x -> {speedup:>8.2f}x  "
+              f"{verdict}{note}")
+    extra = sorted(set(workloads) - set(baseline_workloads))
+    if extra:
+        print(f"(not in baseline, unchecked: {', '.join(extra)})")
+    return failures

@@ -16,11 +16,9 @@ full path cheaply while the dedicated fuzz lane runs the real sweep.
 
 from __future__ import annotations
 
-import json
-import os
 from collections import Counter
-from pathlib import Path
 
+from repro.eval.runner import smoke
 from repro.sim.batch import parallel_map
 from repro.workloads.generate import (
     APPS,
@@ -34,9 +32,9 @@ __all__ = [
     "DEFAULT_SEED",
     "INVARIANTS",
     "bench_payload",
+    "check_bench",
     "evaluate",
     "render",
-    "write_bench",
 ]
 
 #: Default suite identity; CI's fuzz matrix overrides the seed.
@@ -59,13 +57,9 @@ INVARIANTS = (
 )
 
 
-def _smoke() -> bool:
-    return os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-
-
 def default_count() -> int:
     """The sweep size: the full suite, or the smoke shard in CI."""
-    return _SMOKE_COUNT if _smoke() else DEFAULT_COUNT
+    return _SMOKE_COUNT if smoke() else DEFAULT_COUNT
 
 
 def evaluate(
@@ -108,7 +102,7 @@ def bench_payload(
                        "decimating, and fork/join topologies) "
                        "through the invariant suite; any failure "
                        "reproduces from its (seed, index) pair",
-        "smoke": _smoke(),
+        "smoke": smoke(),
         "seed": seed,
         "cases": len(rows),
         "failures": 0,
@@ -161,16 +155,67 @@ def render(rows: list, seed: int = DEFAULT_SEED) -> str:
     return "\n".join(lines)
 
 
-def write_bench(
-    directory: str | Path = ".",
-    payload: dict | None = None,
-) -> Path:
-    """Write ``BENCH_fuzz.json``; returns the path."""
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / "BENCH_fuzz.json"
-    target.write_text(
-        json.dumps(payload or bench_payload(evaluate()), indent=2)
-        + "\n"
-    )
-    return target
+def check_bench(payload: dict, min_cases: int = 1) -> list:
+    """Failures in a ``BENCH_fuzz`` payload (empty = valid).
+
+    The sweep must have run at least ``min_cases`` cases with zero
+    failures, every app and topology of the stratified generator must
+    have a positive case count, the per-class counts must add up to
+    the case count, and the worst conservation error must sit inside
+    :data:`~repro.workloads.generate.CONSERVATION_TOLERANCE`, the
+    tolerance the artifact must also state.
+    """
+    failures = []
+    cases = payload.get("cases")
+    if not isinstance(cases, int) or isinstance(cases, bool) \
+            or cases < min_cases:
+        failures.append(
+            f"cases must be an integer >= {min_cases}, got {cases!r}"
+        )
+    if payload.get("failures") != 0:
+        failures.append(f"failures must be 0, got "
+                        f"{payload.get('failures')!r}")
+    if not isinstance(payload.get("seed"), int):
+        failures.append(f"seed must be an integer, got "
+                        f"{payload.get('seed')!r}")
+    invariants = payload.get("invariants")
+    if not isinstance(invariants, list) or not invariants:
+        failures.append("invariants must be a non-empty list")
+    if payload.get("conservation_tolerance") != CONSERVATION_TOLERANCE:
+        failures.append(
+            f"conservation_tolerance must state the sweep's "
+            f"{CONSERVATION_TOLERANCE}, got "
+            f"{payload.get('conservation_tolerance')!r}"
+        )
+    worst = payload.get("worst_conservation_error")
+    if not isinstance(worst, (int, float)) \
+            or worst > CONSERVATION_TOLERANCE:
+        failures.append(
+            f"worst conservation error {worst!r} is not within "
+            f"{CONSERVATION_TOLERANCE}"
+        )
+    coverage = payload.get("coverage")
+    if not isinstance(coverage, dict):
+        failures.append(f"coverage must be a mapping, got "
+                        f"{type(coverage).__name__}")
+        return failures
+    for axis, members in (("apps", APPS), ("topologies", TOPOLOGIES)):
+        counts = coverage.get(axis)
+        if not isinstance(counts, dict):
+            failures.append(f"coverage[{axis!r}] missing")
+            continue
+        for member in members:
+            count = counts.get(member)
+            if not isinstance(count, int) or count <= 0:
+                failures.append(
+                    f"coverage[{axis!r}][{member!r}] must be a "
+                    f"positive case count, got {count!r}"
+                )
+    classes = coverage.get("classes")
+    if isinstance(classes, dict) and isinstance(cases, int):
+        total = sum(value for value in classes.values()
+                    if isinstance(value, int))
+        if total != cases:
+            failures.append(f"per-class counts sum to {total}, not "
+                            f"the declared {cases} cases")
+    return failures

@@ -31,9 +31,6 @@ application power x simulated time to float tolerance.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.power.measured import EnergyLedger, verify_conservation
 from repro.power.model import PowerModel, savings_percent
 from repro.workloads.configs import all_applications
@@ -190,16 +187,3 @@ def bench_payload(evaluations: dict | None = None) -> dict:
         "applications": applications,
     }
 
-
-def write_bench(
-    directory: str | Path = ".",
-    payload: dict | None = None,
-) -> Path:
-    """Write ``BENCH_power.json`` into ``directory``; returns the path."""
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / "BENCH_power.json"
-    target.write_text(
-        json.dumps(payload or bench_payload(), indent=2) + "\n"
-    )
-    return target

@@ -70,13 +70,16 @@ kind and category from the run's bus subscription plus the
 traced/untraced overhead ratio where one was measured - and an
 ``outcomes`` block tallying supervised-job results (retries,
 timeouts, crashes, degradations, cache quarantines), both stamped by
-:func:`emit_artifact`, the single emit path all four evaluations
-share.
+:func:`emit_artifact`, the single emit path all five evaluations
+share.  ``tools/check_artifact.py`` checks a written artifact against
+the rules its producing module owns.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 from pathlib import Path
 
 from repro.eval import fig5, fig6, fig7, fig8, fig9, fig10
@@ -169,9 +172,22 @@ def write_results(outputs: dict, directory: str) -> list:
     return written
 
 
+def smoke() -> bool:
+    """Whether ``BENCH_SMOKE`` asks for the shrunk CI-sized evaluations."""
+    return os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+
+
+def write_bench(directory: str | Path, payload: dict) -> Path:
+    """Write ``payload`` to ``directory/<payload["artifact"]>.json``."""
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    target = path / f"{payload['artifact']}.json"
+    target.write_text(json.dumps(payload, indent=2) + "\n")
+    return target
+
+
 def emit_artifact(
     payload: dict,
-    write_bench,
     output: str | None,
     renders: list | None = None,
     telemetry: dict | None = None,
@@ -179,21 +195,19 @@ def emit_artifact(
 ) -> Path:
     """The one emit path every BENCH evaluation shares.
 
-    Stamps the telemetry summary into the payload (a
-    forward-compatible extra key: ``tools/bench_compare.py`` ignores
-    keys it does not know), prints the human-readable renders, writes
-    the artifact through the evaluation's ``write_bench``, and
-    announces the written path.  ``telemetry`` defaults to an
-    explicit zero block so consumers can distinguish "nothing
-    subscribed" from "field missing".
+    Stamps the telemetry summary into the payload, prints the
+    human-readable renders, writes the artifact with
+    :func:`write_bench`, and announces the written path.
+    ``telemetry`` defaults to an explicit zero block so consumers can
+    distinguish "nothing subscribed" from "field missing".
 
     Also stamps the run's job-outcome tallies (retries, timeouts,
     worker crashes, engine degradations, cache quarantines) from
     :func:`repro.sim.resilience.outcomes_snapshot` under
     ``outcomes`` - a benchmark artifact produced by a run that
     silently retried or degraded jobs is not comparable, and
-    ``tools/check_outcomes_artifact.py`` /
-    ``tools/bench_compare.py`` hold the line in CI.
+    ``tools/check_artifact.py`` holds the line in CI
+    (:func:`repro.sim.resilience.check_outcomes`).
     """
     summary = dict(telemetry) if telemetry is not None else {
         "events": 0, "by_kind": {}, "by_category": {},
@@ -354,8 +368,7 @@ def main(argv: list | None = None) -> None:
                 processes=None if args.jobs == 0 else args.jobs,
             )
         emit_artifact(
-            fuzz.bench_payload(rows, seed),
-            fuzz.write_bench, args.output,
+            fuzz.bench_payload(rows, seed), args.output,
             renders=[fuzz.render(rows, seed)],
             telemetry=sink.summary(),
         )
@@ -374,8 +387,7 @@ def main(argv: list | None = None) -> None:
         with subscribed(sink):
             evaluations = coordinated.evaluate_all()
         emit_artifact(
-            coordinated.bench_payload(evaluations),
-            coordinated.write_bench, args.output,
+            coordinated.bench_payload(evaluations), args.output,
             renders=[coordinated.render(evaluations)],
             telemetry=sink.summary(),
         )
@@ -403,8 +415,7 @@ def main(argv: list | None = None) -> None:
         # needed to see which striding tier stopped engaging.
         profile_table = engines.render_profile(evaluations)
         emit_artifact(
-            engines.bench_payload(evaluations),
-            engines.write_bench, args.output,
+            engines.bench_payload(evaluations), args.output,
             renders=[engines.render(evaluations), profile_table],
             telemetry=telemetry,
         )
@@ -432,14 +443,12 @@ def main(argv: list | None = None) -> None:
         with subscribed(sink):
             evaluations = dvfs.evaluate_all()
         emit_artifact(
-            dvfs.bench_payload(evaluations),
-            dvfs.write_bench, args.output,
+            dvfs.bench_payload(evaluations), args.output,
             renders=[dvfs.render(evaluations)],
             telemetry=sink.summary(),
         )
         return
     if args.measured:
-        from repro.eval.measured import write_bench
         from repro.obs import CountingSink, subscribed
 
         names = args.experiments
@@ -468,7 +477,7 @@ def main(argv: list | None = None) -> None:
                 print(text)
                 print()
         emit_artifact(
-            payload, write_bench, args.output,
+            payload, args.output,
             telemetry=sink.summary(),
         )
         return

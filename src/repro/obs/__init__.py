@@ -1,4 +1,4 @@
-"""Unified telemetry plane: event bus, metrics, exporters.
+"""Unified telemetry plane: event bus and exporters.
 
 Synchroscalar's whole argument is about where time and energy go -
 per-domain frequency residency, stall/starve behaviour at domain
@@ -11,12 +11,6 @@ surface every layer reports into and every consumer reads from:
     single attribute check when no sink is subscribed, so the
     instrumented engine/control/power/batch layers cost nothing on
     untraced runs (the contract the overhead tests pin down).
-
-:mod:`repro.obs.metrics`
-    Counters, gauges, and histograms in a :class:`MetricsRegistry`.
-    The compiled engine's profile counters are registry-backed; its
-    ``profile_snapshot()`` remains as the compatibility view the
-    ``BENCH_engine.json`` schema and CI counter checks consume.
 
 :mod:`repro.obs.export`
     Sinks and exporters: a Chrome-trace/Perfetto JSON builder that
@@ -46,26 +40,16 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 
 __all__ = [
     "BUS",
     "ChromeTraceBuilder",
-    "Counter",
     "CounterEvent",
     "CountingSink",
     "Event",
     "EventBus",
-    "Gauge",
-    "Histogram",
     "InstantEvent",
     "JsonlSink",
-    "MetricsRegistry",
     "SpanEvent",
     "subscribed",
     "validate_chrome_trace",

@@ -255,13 +255,16 @@ class ChromeTraceBuilder:
         }
 
 
-def validate_chrome_trace(payload) -> list:
+def validate_chrome_trace(payload, tracks=None) -> list:
     """Structural problems with a Chrome-trace payload (empty = valid).
 
     Checks the shape ``chrome://tracing`` / Perfetto actually require:
     a ``traceEvents`` list whose entries carry a phase, a name, and -
     for timed phases - numeric pid/tid/ts (plus non-negative ``dur``
-    for complete events).
+    for complete events).  When ``tracks`` is given (a list of track
+    names, possibly empty), the trace must also hold a per-clock-domain
+    ``column<i>`` track and every named track, where a track is a
+    ``thread_name`` metadata row.
     """
     problems = []
     if not isinstance(payload, dict):
@@ -271,6 +274,7 @@ def validate_chrome_trace(payload) -> list:
         return ["missing traceEvents list"]
     if not events:
         problems.append("traceEvents is empty")
+    present = set()
     for index, entry in enumerate(events):
         where = f"traceEvents[{index}]"
         if not isinstance(entry, dict):
@@ -294,6 +298,23 @@ def validate_chrome_trace(payload) -> list:
                 problems.append(f"{where}: complete event missing dur")
             elif duration < 0:
                 problems.append(f"{where}: negative dur {duration}")
+        args = entry.get("args")
+        if phase == "M" and entry.get("name") == "thread_name" \
+                and isinstance(args, dict) \
+                and isinstance(args.get("name"), str):
+            present.add(args["name"])
+    if tracks is None:
+        return problems
+    named = sorted(present)
+    if not any(track.startswith("column") for track in named):
+        problems.append(
+            "no per-clock-domain track (column<i>) in the trace; "
+            f"tracks present: {named or 'none'}"
+        )
+    problems.extend(
+        f"required track {track!r} missing; present: {named}"
+        for track in tracks if track not in present
+    )
     return problems
 
 

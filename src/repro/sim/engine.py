@@ -44,7 +44,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.arch.chip import STALLED, Chip
 from repro.arch.column_exec import compile_column_runner
 from repro.obs.events import BUS
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.stats import SimulationStats, collect
 
 #: Default run budget in reference ticks.  Exhausting it raises
@@ -576,8 +575,7 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
              bus_traffic_d, retired_d, state_post, counter_sets,
              occ_at) = per_dou[position]
             lap = dou.lap_plan(state_pre)
-            if (lap is not None and lap.length == 1
-                    and moved == lap.n_captures):
+            if lap is not None and moved == lap.n_captures:
                 ops.append((0, dou, lap))
                 orbit_laps += 1
             elif not moved and not touched and not retired_d:
@@ -593,7 +591,7 @@ def _build_lock_plan(recorder, period, dous, columns, runners, dividers):
                     state_post, counter_sets,
                 ))
             else:
-                # Partial or multi-lap transfer: keep the real step,
+                # Partial transfer, or no lap plan: keep the real step,
                 # validated by its moved count plus a post-tick
                 # occupancy check over every buffer it can reach.
                 ops.append((2, dou, moved))
@@ -883,7 +881,7 @@ def _emit_round(
                 later = tuple(bind(other[1], "d") for other in ops[pos + 1:])
                 if op[0] == 0:
                     dn = nm(op[1], "d")
-                    abort("not %s.apply_laps(%s, 1)"
+                    abort("not %s.apply_lap(%s)"
                           % (dn, nm(op[2], "lap")),
                           "divergence", index, offset,
                           (bind(op[1], "d"),) + later, cold)
@@ -1124,18 +1122,6 @@ class CompiledEngine(Engine):
             "orbit_laps": 0,
             "fused_runner_calls": 0,
         }
-        #: Typed view over the same dict the hot loops mutate raw:
-        #: the registry owns instrument naming and kinds, ``_profile``
-        #: stays the fast store (``dict[key] += n`` in the inner
-        #: loops), and :meth:`profile_snapshot` renders through it.
-        self.metrics = MetricsRegistry.adopt(
-            self._profile, namespace="engine"
-        )
-        for key in self._profile:
-            if key.endswith("_s"):
-                self.metrics.gauge(key)
-            else:
-                self.metrics.counter(key)
         if BUS.active:
             # No wall-clock in the args: trace output must be
             # byte-identical across identical runs (the exporter
@@ -1151,15 +1137,14 @@ class CompiledEngine(Engine):
     def profile_snapshot(self) -> dict:
         """Phase timings and event counters for ``--profile`` runs.
 
-        Compatibility view over :attr:`metrics` - same keys as ever,
-        so the ``BENCH_engine.json`` profile schema and the CI counter
-        checks are unaffected by the registry migration.  Timing keys
-        are populated only when :attr:`profile_enabled` was set before
-        the run; counter keys are always exact.  The runner aggregate
-        folds in every column's pre-execution statistics (calls, edges
-        consumed, closed-form loop batches).
+        A copy of the profile the hot loops update, with the keys
+        :data:`repro.eval.engines.PROFILE_COUNTERS` requires.  Timing
+        keys are populated only when :attr:`profile_enabled` was set
+        before the run; counter keys are always exact.  The runner
+        aggregate folds in every column's pre-execution statistics
+        (calls, edges consumed, closed-form loop batches).
         """
-        data = self.metrics.snapshot()
+        data = dict(self._profile)
         calls = edges = batches = iterations = 0
         for runner in self._runners:
             if runner is None:
@@ -2203,11 +2188,10 @@ AUTO_ENGINE = "auto"
 #:
 #: .. deprecated::
 #:     Kept as a compatibility shim for existing benchmark drivers.
-#:     New consumers should read the typed
-#:     :attr:`CompiledEngine.metrics` registry on an engine they
-#:     hold, or subscribe a sink to :data:`repro.obs.events.BUS` when
-#:     they never see the engine object - see
-#:     ``docs/observability.md``.
+#:     New consumers should call :meth:`CompiledEngine.profile_snapshot`
+#:     on an engine they hold, or subscribe a sink to
+#:     :data:`repro.obs.events.BUS` when they never see the engine
+#:     object - see ``docs/observability.md``.
 PROFILE_REGISTRY: list | None = None
 
 

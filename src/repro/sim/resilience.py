@@ -34,9 +34,9 @@ instead of a raised exception:
 
 Every retry, timeout, crash, degradation, and cache quarantine is
 emitted on the :data:`repro.obs.events.BUS` (category ``batch``,
-track ``jobs``) and accumulated in the module-level
-:data:`METRICS` registry; :func:`outcomes_snapshot` is the block the
-evaluation runner stamps into every ``BENCH_*`` artifact.
+track ``jobs``) and tallied process-wide; :func:`outcomes_snapshot`
+is the block the evaluation runner stamps into every ``BENCH_*``
+artifact, and :func:`check_outcomes` is the rule it is held to.
 
 :func:`run_many_outcomes` is the primary entry point;
 ``run_many(policy=...)`` in :mod:`repro.sim.batch` rides on it and
@@ -56,7 +56,6 @@ from typing import Iterable
 
 from repro.errors import BatchError, SimulationError
 from repro.obs.events import BUS
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.batch import (
     BatchResult,
     ResultCache,
@@ -69,8 +68,8 @@ from repro.sim.faultinject import InjectedWorkerCrash
 __all__ = [
     "FaultPolicy",
     "JobOutcome",
-    "METRICS",
     "backoff_delay",
+    "check_outcomes",
     "default_policy",
     "outcomes_snapshot",
     "reset_outcome_counters",
@@ -182,47 +181,70 @@ def backoff_delay(
 # stamps (runner's emit_artifact) and CI validates.
 # ----------------------------------------------------------------------
 
-METRICS = MetricsRegistry(namespace="resilience")
-
 _COUNTER_FIELDS = (
     "ok", "degraded", "failed", "timed_out", "worker_crashed",
     "retries", "cache_quarantined",
 )
-_COUNTERS = {
-    field: METRICS.counter(f"jobs_{field}" if field not in
-                           ("retries", "cache_quarantined")
-                           else field)
-    for field in _COUNTER_FIELDS
-}
+#: The tallies that count a fault; a clean run keeps them all zero.
+_FAULT_FIELDS = tuple(field for field in _COUNTER_FIELDS if field != "ok")
+_COUNTERS = dict.fromkeys(_COUNTER_FIELDS, 0)
 
 
 def outcomes_snapshot() -> dict:
     """JSON-ready outcome tallies since the last reset.
 
-    Keys are stable (``tools/check_outcomes_artifact.py`` validates
-    them): ``ok``, ``degraded``, ``failed``, ``timed_out``,
-    ``worker_crashed``, ``retries``, ``cache_quarantined``.  The
-    success classes (``ok``, ``degraded``) count settled *jobs*; the
-    failure classes count failed *attempts* (so a fault that was
-    retried away is still visible, classified); ``retries`` counts
-    rescheduled attempts and ``cache_quarantined`` evicted corrupt
-    cache entries.  A fault-free run has every key but ``ok`` at
-    zero.
+    Keys are stable (:func:`check_outcomes` validates them): ``ok``,
+    ``degraded``, ``failed``, ``timed_out``, ``worker_crashed``,
+    ``retries``, ``cache_quarantined``.  The success classes (``ok``,
+    ``degraded``) count settled *jobs*; the failure classes count
+    failed *attempts* (so a fault that was retried away is still
+    visible, classified); ``retries`` counts rescheduled attempts and
+    ``cache_quarantined`` evicted corrupt cache entries.  A fault-free
+    run has every key but ``ok`` at zero.
     """
-    return {
-        field: _COUNTERS[field].value for field in _COUNTER_FIELDS
-    }
+    return dict(_COUNTERS)
 
 
 def reset_outcome_counters() -> None:
     """Zero every outcome counter (test isolation)."""
-    for counter in _COUNTERS.values():
-        METRICS.store[counter.name] = 0
+    _COUNTERS.update(dict.fromkeys(_COUNTER_FIELDS, 0))
 
 
 def note_cache_quarantine() -> None:
     """Called by ResultCache when it quarantines a corrupt entry."""
-    _COUNTERS["cache_quarantined"].inc()
+    _COUNTERS["cache_quarantined"] += 1
+
+
+def check_outcomes(payload: dict) -> list:
+    """Failures in a BENCH artifact's ``outcomes`` block (empty = clean).
+
+    The block must be a mapping in which every tally of
+    :func:`outcomes_snapshot` is a non-negative integer (unknown
+    extra keys are ignored) and every fault tally is zero: wall clocks
+    and statistics from a run that retried, timed out, lost a worker,
+    degraded an engine, or quarantined a cache entry are not
+    comparable to a clean run's.
+    """
+    outcomes = payload.get("outcomes")
+    if not isinstance(outcomes, dict):
+        return [f"artifact has no 'outcomes' mapping "
+                f"(got {type(outcomes).__name__})"]
+    failures = []
+    for field in _COUNTER_FIELDS:
+        value = outcomes.get(field)
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or value < 0:
+            failures.append(f"outcomes[{field!r}] must be a "
+                            f"non-negative integer, got {value!r}")
+    if failures:
+        return failures
+    dirty = [f"{field}={outcomes[field]}" for field in _FAULT_FIELDS
+             if outcomes[field]]
+    if dirty:
+        return ["run recorded supervised-job faults: "
+                + ", ".join(dirty)
+                + " (wall clocks from a faulting run are not comparable)"]
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +395,7 @@ class _Supervisor:
         job.attempts += 1
         if kind == "ok":
             status = "degraded" if degraded else "ok"
-            _COUNTERS[status].inc()
+            _COUNTERS[status] += 1
             self._event(
                 "job_degraded" if degraded else "job_done", job
             )
@@ -391,7 +413,7 @@ class _Supervisor:
         # Failure-class counters tally *attempts*, not jobs, so a
         # recovered fault still shows up classified (a clean run
         # keeps them all zero either way).
-        _COUNTERS[status].inc()
+        _COUNTERS[status] += 1
         self._event(
             {
                 "failed": "job_failed",
@@ -402,7 +424,7 @@ class _Supervisor:
         )
         if job.attempts <= self.policy.max_retries:
             delay = backoff_delay(self.policy, job.key, job.attempts)
-            _COUNTERS["retries"].inc()
+            _COUNTERS["retries"] += 1
             self._event("job_retry", job, backoff_s=round(delay, 6))
             job.ready_at = time.monotonic() + delay
             self.queue.append(job)

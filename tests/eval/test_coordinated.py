@@ -11,7 +11,6 @@ from repro.eval.coordinated import (
     check_contract,
     evaluate_all,
     render,
-    write_bench,
 )
 from repro.eval.runner import main
 
@@ -95,13 +94,6 @@ def test_render_mentions_every_policy(evaluations):
     for kind in GOVERNORS:
         assert kind in text
     assert "wakes" in text
-
-
-def test_write_bench(tmp_path, evaluations):
-    target = write_bench(tmp_path, bench_payload(evaluations))
-    assert target.name == "BENCH_coordinated.json"
-    loaded = json.loads(target.read_text())
-    assert loaded["artifact"] == "BENCH_coordinated"
 
 
 def test_cli_coordinated_writes_artifact(tmp_path, capsys, monkeypatch):

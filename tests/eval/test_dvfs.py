@@ -11,7 +11,6 @@ from repro.eval.dvfs import (
     check_contract,
     evaluate_all,
     render,
-    write_bench,
 )
 from repro.eval.runner import main
 
@@ -80,13 +79,6 @@ def test_render_mentions_every_governor(evaluations):
     for kind in GOVERNORS:
         assert kind in text
     assert "vs static" in text
-
-
-def test_write_bench(tmp_path, evaluations):
-    target = write_bench(tmp_path, bench_payload(evaluations))
-    assert target.name == "BENCH_dvfs.json"
-    loaded = json.loads(target.read_text())
-    assert loaded["artifact"] == "BENCH_dvfs"
 
 
 def test_cli_dvfs_writes_artifact(tmp_path, capsys, monkeypatch):

@@ -47,16 +47,6 @@ def test_render_lists_every_workload():
     assert "fir" in text and "speedup" in text
 
 
-def test_write_bench(tmp_path):
-    evaluations = {
-        "fir": engines.evaluate_workload("fir", repeats=1),
-    }
-    payload = engines.bench_payload(evaluations)
-    target = engines.write_bench(tmp_path, payload)
-    assert target.name == "BENCH_engine.json"
-    assert json.loads(target.read_text())["artifact"] == "BENCH_engine"
-
-
 def test_cli_engines_writes_artifact(tmp_path, capsys):
     main(["--engines", "--output", str(tmp_path)])
     out = capsys.readouterr().out

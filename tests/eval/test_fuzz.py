@@ -10,7 +10,6 @@ from repro.eval.fuzz import (
     bench_payload,
     evaluate,
     render,
-    write_bench,
 )
 from repro.eval.runner import main
 
@@ -55,13 +54,6 @@ def test_render_names_every_class(rows):
     assert f"seed {DEFAULT_SEED}" in text
     for row in rows:
         assert row["class"] in text
-
-
-def test_write_bench(tmp_path, rows):
-    target = write_bench(tmp_path, bench_payload(rows, DEFAULT_SEED))
-    assert target.name == "BENCH_fuzz.json"
-    loaded = json.loads(target.read_text())
-    assert loaded["artifact"] == "BENCH_fuzz"
 
 
 def test_cli_fuzz_writes_artifact(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,6 @@ from repro.eval.measured import (
     TOLERANCES,
     bench_payload,
     evaluate_all,
-    write_bench,
 )
 from repro.eval.runner import main, run_measured
 
@@ -130,8 +129,3 @@ def test_cli_measured_writes_bench_artifact(tmp_path, capsys):
         "mpeg4_cif",
     }
     assert (tmp_path / "table4.txt").exists()
-
-
-def test_write_bench_roundtrip(tmp_path, evaluations):
-    target = write_bench(tmp_path, bench_payload(evaluations))
-    assert json.loads(target.read_text())["artifact"] == "BENCH_power"

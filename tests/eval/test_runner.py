@@ -1,5 +1,7 @@
 """Runner CLI behaviours."""
 
+import json
+
 import pytest
 
 from repro.eval.runner import main, run_all, write_results
@@ -74,17 +76,10 @@ def test_emit_artifact_stamps_outcomes_block(tmp_path):
     from repro.eval.runner import emit_artifact
     from repro.sim.resilience import reset_outcome_counters
 
-    captured = {}
-
-    def fake_write_bench(output, payload):
-        captured.update(payload)
-        return tmp_path / "BENCH_fake.json"
-
     reset_outcome_counters()
-    emit_artifact(
-        {"artifact": "BENCH_fake"}, fake_write_bench, str(tmp_path)
-    )
-    outcomes = captured["outcomes"]
+    target = emit_artifact({"artifact": "BENCH_fake"}, str(tmp_path))
+    assert target == tmp_path / "BENCH_fake.json"
+    outcomes = json.loads(target.read_text())["outcomes"]
     assert set(outcomes) >= {
         "ok", "degraded", "failed", "timed_out", "worker_crashed",
         "retries", "cache_quarantined",
@@ -95,14 +90,23 @@ def test_emit_artifact_stamps_outcomes_block(tmp_path):
 def test_emit_artifact_accepts_explicit_outcomes(tmp_path):
     from repro.eval.runner import emit_artifact
 
-    captured = {}
-
-    def fake_write_bench(output, payload):
-        captured.update(payload)
-        return tmp_path / "BENCH_fake.json"
-
-    emit_artifact(
-        {"artifact": "BENCH_fake"}, fake_write_bench, str(tmp_path),
+    target = emit_artifact(
+        {"artifact": "BENCH_fake"}, str(tmp_path),
         outcomes={"ok": 7, "retries": 1},
     )
-    assert captured["outcomes"] == {"ok": 7, "retries": 1}
+    assert json.loads(target.read_text())["outcomes"] == {
+        "ok": 7, "retries": 1,
+    }
+
+
+@pytest.mark.parametrize("artifact", [
+    "BENCH_engine", "BENCH_dvfs", "BENCH_coordinated", "BENCH_fuzz",
+    "BENCH_power",
+])
+def test_write_bench(tmp_path, artifact):
+    from repro.eval.runner import write_bench
+
+    payload = {"artifact": artifact, "values": [1, 2.5, None]}
+    target = write_bench(tmp_path / "out", payload)
+    assert target == tmp_path / "out" / f"{artifact}.json"
+    assert json.loads(target.read_text()) == payload
