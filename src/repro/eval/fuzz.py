@@ -69,10 +69,12 @@ def evaluate(
 ) -> list:
     """Check ``count`` generated cases of one seed; return the rows.
 
-    Cases fan out across worker processes (each worker regenerates
-    its scenario from the bare ``(seed, index)`` pair - the same path
-    a human repro takes).  A failing case raises with the pair in the
-    message; there is nothing to shrink.
+    Each case is one supervised job of
+    :func:`repro.sim.batch.parallel_map`, labelled with its pair and
+    regenerated from the bare ``(seed, index)`` - the same path a
+    human repro takes.  A case that still fails after its retries
+    raises :class:`~repro.errors.BatchError` naming the pair; there is
+    nothing to shrink.
     """
     if count is None:
         count = default_count()
@@ -159,9 +161,11 @@ def check_bench(payload: dict, min_cases: int = 1) -> list:
     """Failures in a ``BENCH_fuzz`` payload (empty = valid).
 
     The sweep must have run at least ``min_cases`` cases with zero
-    failures, every app and topology of the stratified generator must
-    have a positive case count, the per-class counts must add up to
-    the case count, and the worst conservation error must sit inside
+    failures, each case one supervised job (``outcomes["ok"]`` equals
+    the case count), every app and topology of the stratified
+    generator must have a positive case count, the per-class counts
+    must add up to the case count, and the worst conservation error
+    must sit inside
     :data:`~repro.workloads.generate.CONSERVATION_TOLERANCE`, the
     tolerance the artifact must also state.
     """
@@ -175,6 +179,11 @@ def check_bench(payload: dict, min_cases: int = 1) -> list:
     if payload.get("failures") != 0:
         failures.append(f"failures must be 0, got "
                         f"{payload.get('failures')!r}")
+    outcomes = payload.get("outcomes")
+    settled = outcomes.get("ok") if isinstance(outcomes, dict) else None
+    if settled != cases:
+        failures.append(f"outcomes['ok'] must count the {cases!r} "
+                        f"supervised case jobs, got {settled!r}")
     if not isinstance(payload.get("seed"), int):
         failures.append(f"seed must be an integer, got "
                         f"{payload.get('seed')!r}")

@@ -12,8 +12,8 @@ Options::
     python -m repro.eval.runner --engines --profile  # engine bench
     python -m repro.eval.runner --fuzz --fuzz-seed 23  # property sweep
     python -m repro.eval.runner --engines --trace trace.json  # timeline
-    python -m repro.eval.runner --measured \
-        --retries 2 --job-timeout 300 --keep-going  # supervised jobs
+    python -m repro.eval.runner --fuzz \
+        --retries 2 --job-timeout 300 --keep-going  # supervision knobs
 
 Experiments are independent pure functions of the model, so they
 render concurrently through :func:`repro.sim.batch.parallel_map`.
@@ -58,21 +58,21 @@ ticks, batched jumps, settlement, drain) in the JSON payload, and
 the timeline-bearing workloads (after the timing loops, so sinks
 never touch the recorded wall clocks).
 
-``--job-timeout`` / ``--retries`` / ``--keep-going`` install a
-process-default :class:`~repro.sim.resilience.FaultPolicy`, routing
-every batched simulation job through the supervised fault-tolerant
-plane (retry with deterministic backoff, per-job timeouts, worker
-crash containment, compiled-to-reference engine degradation - see
-``docs/robustness.md``).
+Every batch runs supervised (:mod:`repro.sim.resilience`: retry with
+deterministic backoff, per-job timeouts, worker crash containment,
+compiled-to-reference engine fallback - see ``docs/robustness.md``).
+``--job-timeout`` / ``--retries`` / ``--keep-going`` install the
+process-default :class:`~repro.sim.resilience.FaultPolicy`; they
+apply to ``--measured``, ``--fuzz`` and ``--jobs`` renders.
 
 Every BENCH artifact carries a ``telemetry`` block - event counts by
 kind and category from the run's bus subscription plus the
 traced/untraced overhead ratio where one was measured - and an
-``outcomes`` block tallying supervised-job results (retries,
-timeouts, crashes, degradations, cache quarantines), both stamped by
-:func:`emit_artifact`, the single emit path all five evaluations
-share.  ``tools/check_artifact.py`` checks a written artifact against
-the rules its producing module owns.
+``outcomes`` block tallying supervised-job results (settled jobs,
+retries, timeouts, crashes, degradations, cache quarantines), both
+stamped by :func:`emit_artifact`, the single emit path all five
+evaluations share.  ``tools/check_artifact.py`` checks a written
+artifact against the rules its producing module owns.
 """
 
 from __future__ import annotations
@@ -85,6 +85,12 @@ from pathlib import Path
 from repro.eval import fig5, fig6, fig7, fig8, fig9, fig10
 from repro.eval import table1, table2, table3, table4
 from repro.sim.batch import parallel_map
+from repro.sim.resilience import (
+    FaultPolicy,
+    outcomes_snapshot,
+    reset_outcome_counters,
+    set_default_policy,
+)
 
 _EXPERIMENTS = {
     "table1": table1,
@@ -111,9 +117,9 @@ def _render(name: str) -> str:
 def run_all(names: list | None = None, jobs: int | None = 1) -> dict:
     """{experiment id: rendered text} for the selected experiments.
 
-    ``jobs`` fans the renders across worker processes
-    (``jobs=1``, the default, stays in-process; ``jobs=None`` sizes
-    the pool to the host).
+    Each render is one supervised job; ``jobs`` fans them across
+    worker processes (``jobs=1``, the default, stays in-process;
+    ``jobs=None`` sizes the worker count to the host).
     """
     selected = names or list(_EXPERIMENTS)
     unknown = set(selected) - set(_EXPERIMENTS)
@@ -191,7 +197,6 @@ def emit_artifact(
     output: str | None,
     renders: list | None = None,
     telemetry: dict | None = None,
-    outcomes: dict | None = None,
 ) -> Path:
     """The one emit path every BENCH evaluation shares.
 
@@ -201,9 +206,9 @@ def emit_artifact(
     ``telemetry`` defaults to an explicit zero block so consumers can
     distinguish "nothing subscribed" from "field missing".
 
-    Also stamps the run's job-outcome tallies (retries, timeouts,
-    worker crashes, engine degradations, cache quarantines) from
-    :func:`repro.sim.resilience.outcomes_snapshot` under
+    Also stamps the run's job-outcome tallies (settled jobs, retries,
+    timeouts, worker crashes, engine degradations, cache quarantines)
+    from :func:`repro.sim.resilience.outcomes_snapshot` under
     ``outcomes`` - a benchmark artifact produced by a run that
     silently retried or degraded jobs is not comparable, and
     ``tools/check_artifact.py`` holds the line in CI
@@ -214,11 +219,7 @@ def emit_artifact(
     }
     summary.setdefault("overhead_ratio", None)
     payload["telemetry"] = summary
-    if outcomes is None:
-        from repro.sim.resilience import outcomes_snapshot
-
-        outcomes = outcomes_snapshot()
-    payload["outcomes"] = dict(outcomes)
+    payload["outcomes"] = outcomes_snapshot()
     for text in renders or ():
         if text:
             print(text)
@@ -301,30 +302,29 @@ def main(argv: list | None = None) -> None:
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock budget for batched simulation jobs; "
-             "over-budget workers are terminated and the job retried "
-             "(enables the supervised batch plane)",
+        help="per-job wall-clock budget; over-budget workers are "
+             "terminated and the job retried (applies to --measured, "
+             "--fuzz and --jobs renders)",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="retry each failed/timed-out/crashed batch job up to N "
-             "times with deterministic exponential backoff "
-             "(enables the supervised batch plane; default 2 when "
-             "another supervision flag is given)",
+        help="retry each failed/timed-out/crashed job up to N times "
+             "with deterministic exponential backoff (default 2; "
+             "applies to --measured, --fuzz and --jobs renders)",
     )
     parser.add_argument(
         "--keep-going", action="store_true",
-        help="collect-partial mode: supervise every batch job to a "
-             "typed outcome instead of aborting the sweep on the "
-             "first terminal failure",
+        help="collect-partial mode: supervise every job to a typed "
+             "outcome before failing instead of aborting the sweep on "
+             "the first terminal failure (applies to --measured, "
+             "--fuzz and --jobs renders)",
     )
     args = parser.parse_args(argv)
+    reset_outcome_counters()  # each artifact tallies its own run
     if (
         args.job_timeout is not None or args.retries is not None
         or args.keep_going
     ):
-        from repro.sim.resilience import FaultPolicy, set_default_policy
-
         set_default_policy(FaultPolicy(
             max_retries=args.retries if args.retries is not None else 2,
             timeout_s=args.job_timeout,

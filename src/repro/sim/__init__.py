@@ -10,8 +10,8 @@ words moved, stall and idle cycles.
 Two engines implement that contract (:mod:`repro.sim.engine`): the
 tick-accurate ``ReferenceEngine`` and the hyperperiod-compiled
 ``CompiledEngine``, which skips statically dead reference ticks.
-:mod:`repro.sim.batch` fans many chip configurations across worker
-processes behind a content-hash result cache.
+:mod:`repro.sim.batch` runs many chip configurations as supervised
+jobs (:mod:`repro.sim.resilience`) behind a content-hash result cache.
 """
 
 from repro.sim.batch import (

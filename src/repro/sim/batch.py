@@ -1,17 +1,18 @@
-"""Batched parallel simulation runs with content-hash caching.
+"""Batched simulation runs with content-hash caching.
 
 Design-space exploration wants hundreds of chip configurations
 simulated, and almost all of them are pure functions of their inputs:
 the same programs on the same dividers always yield the same
-statistics.  ``run_many`` exploits both facts - it fans a list of
-:class:`RunRequest` descriptions across a ``multiprocessing`` pool
-(falling back to in-process execution on small batches or single-CPU
-hosts) and memoizes every result in a content-addressed
+statistics.  ``run_many`` exploits both facts - it runs a list of
+:class:`RunRequest` descriptions as supervised jobs
+(:mod:`repro.sim.resilience`, in-process or across worker processes)
+and memoizes every result in a content-addressed
 :class:`ResultCache`, optionally persisted to disk so repeated sweeps
 pay only for the points that changed.
 
-``parallel_map`` is the underlying fan-out primitive, also used by
-the evaluation runner to render independent experiments concurrently.
+``parallel_map`` runs any ``fn`` over a list of items on the same
+supervisor: the fuzz sweep, the evaluation runner's renders, and the
+bus-width explorer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import hashlib
 import os
 import pickle
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -256,69 +256,34 @@ def parallel_map(
     progress: Callable[[int], None] | None = None,
     labels: Sequence[str] | None = None,
 ) -> list:
-    """Order-preserving map, fanned across worker processes.
+    """Order-preserving ``[fn(item) for item in items]``, supervised.
 
-    ``processes=None`` sizes the pool to the host (serial on a single
-    CPU); ``processes<=1`` or a batch of one runs in-process.  ``fn``
-    and every item must be picklable when a pool is used.
-    ``progress`` is invoked with each item's index as its result
-    lands, in item order - always in the *calling* process, so it may
-    emit telemetry (forked workers only see a dead copy of the bus).
+    Each item is one job of :func:`repro.sim.resilience.supervise`
+    under the process default policy (retries, timeouts, crash
+    containment).  ``processes=None`` sizes the worker count to the
+    host; ``processes<=1`` or a batch of one runs in-process, where
+    neither ``fn`` nor the items need to pickle.  ``progress`` is
+    invoked with each item's index as its job settles, in item order
+    - always in the *calling* process, so it may emit telemetry
+    (forked workers only see a dead copy of the bus).
 
-    Failure semantics: on any error (or ``KeyboardInterrupt``) the
-    pool is terminated and joined - workers never outlive the call -
-    and the first failing job's label (``labels[i]`` when given,
-    ``item i`` otherwise) is attached to the propagating exception as
-    a note, so a sweep-deep traceback names the job that died.
+    A job that still fails after its retries raises
+    :class:`~repro.errors.BatchError` naming its label (``labels[i]``
+    when given, ``item i`` otherwise); no worker outlives the call.
     """
+    from repro.sim import resilience
+
     items = list(items)
-    if labels is not None:
-        labels = list(labels)
-        if len(labels) != len(items):
-            raise ValueError(
-                f"{len(labels)} labels for {len(items)} items"
-            )
-
-    def _label(index: int) -> str:
-        return labels[index] if labels is not None else f"item {index}"
-
-    if processes is None:
-        processes = min(len(items), os.cpu_count() or 1)
-    if processes <= 1 or len(items) <= 1:
-        out = []
-        for index, item in enumerate(items):
-            try:
-                out.append(fn(item))
-            except Exception as exc:
-                exc.add_note(
-                    f"parallel_map job {_label(index)!r} raised"
-                )
-                raise
-            if progress is not None:
-                progress(index)
-        return out
-    pool = get_context().Pool(processes=processes)
-    out = []
-    try:
-        for index, result in enumerate(pool.imap(fn, items)):
-            out.append(result)
-            if progress is not None:
-                progress(index)
-        pool.close()
-        pool.join()
-        return out
-    except BaseException as exc:
-        # Clean teardown on any failure path, KeyboardInterrupt
-        # included: no leaked workers grinding on after the caller
-        # has given up.  imap yields in item order, so the first
-        # un-landed item is the one whose exception is propagating.
-        pool.terminate()
-        pool.join()
-        if isinstance(exc, Exception) and len(out) < len(items):
-            exc.add_note(
-                f"parallel_map job {_label(len(out))!r} raised"
-            )
-        raise
+    if labels is None:
+        labels = [f"item {index}" for index in range(len(items))]
+    labels = list(labels)
+    if len(labels) != len(items):
+        raise ValueError(f"{len(labels)} labels for {len(items)} items")
+    jobs = [resilience.Job(fn, item, label)
+            for item, label in zip(items, labels)]
+    outcomes: list = [None] * len(jobs)
+    resilience.supervise(jobs, outcomes, processes, progress=progress)
+    return [outcome.stats for outcome in resilience.require_ok(outcomes)]
 
 
 def run_many(
@@ -328,103 +293,27 @@ def run_many(
     policy=None,
     injector=None,
 ) -> list[BatchResult]:
-    """Execute a batch of requests, in parallel, through the cache.
+    """Execute a batch of requests, supervised, through the cache.
 
-    Cache hits never reach a worker; the remainder is executed with
-    :func:`parallel_map` and written back, so a repeated sweep is
-    priced by its novel points only.  Identical requests within one
-    batch share a single cache lookup and a single execution (every
-    copy past the first comes back ``cached=True``).  Results come
-    back in request order.
-
-    With a ``policy`` (a :class:`~repro.sim.resilience.FaultPolicy`,
-    or the process default installed by
-    :func:`~repro.sim.resilience.set_default_policy`) or an
-    ``injector``, the batch runs through the supervision layer
-    instead: retries, timeouts, crash containment, and engine
-    degradation per the policy, with a
-    :class:`~repro.errors.BatchError` raised if any job still fails
-    terminally.  Callers that want per-job outcomes rather than a
-    raise use :func:`~repro.sim.resilience.run_many_outcomes`.
+    :func:`~repro.sim.resilience.run_many_outcomes` does the work:
+    cache hits never reach a worker, identical requests within one
+    batch share a single execution (every copy past the first comes
+    back ``cached=True``), fresh results are written back, and every
+    execution runs under ``policy`` (a
+    :class:`~repro.sim.resilience.FaultPolicy`; default the one
+    :func:`~repro.sim.resilience.set_default_policy` installed, else
+    ``FaultPolicy()``) with an optional fault ``injector``.  Results
+    come back in request order; a job that still fails raises
+    :class:`~repro.errors.BatchError`.  Callers that want per-job
+    outcomes rather than a raise use ``run_many_outcomes``.
     """
-    if policy is None and injector is None:
-        from repro.sim import resilience
+    from repro.sim import resilience
 
-        policy = resilience.default_policy()
-    if policy is not None or injector is not None:
-        from repro.sim import resilience
-
-        return resilience.to_batch_results(
-            resilience.run_many_outcomes(
-                requests, processes=processes, cache=cache,
-                policy=policy, injector=injector,
-            )
-        )
-    requests = list(requests)
-    cache = cache if cache is not None else ResultCache()
-    keys = [request_key(request) for request in requests]
-    groups: dict = {}
-    for index, key in enumerate(keys):
-        groups.setdefault(key, []).append(index)
-    results: list = [None] * len(requests)
-    pending: list = []
-    for key, indices in groups.items():
-        stats = cache.get(key)
-        if stats is None:
-            pending.append(key)
-            continue
-        for index in indices:
-            results[index] = BatchResult(
-                label=requests[index].label, key=key, stats=stats,
-                cached=True,
-            )
-            if BUS.active:
-                BUS.instant(
-                    "job_cached", category="batch", track="jobs",
-                    args={
-                        "label": requests[index].label,
-                        "key": key[:12],
-                    },
-                )
-    # Lifecycle events are parent-side only: forked workers inherit a
-    # copy of the bus whose events die with them, so the one coherent
-    # stream is submitted/progress/done as results land here.
-    progress = None
-    if BUS.active:
-        BUS.instant(
-            "batch_submitted", category="batch", track="jobs",
-            args={
-                "jobs": len(requests),
-                "unique": len(groups),
-                "cached": len(groups) - len(pending),
-                "executing": len(pending),
-            },
-        )
-
-        def progress(index: int) -> None:
-            BUS.instant(
-                "job_done", category="batch", track="jobs",
-                args={
-                    "label": requests[groups[pending[index]][0]].label,
-                    "key": pending[index][:12],
-                    "completed": index + 1,
-                    "of": len(pending),
-                },
-            )
-
-    fresh = parallel_map(
-        execute,
-        [requests[groups[key][0]] for key in pending],
-        processes,
-        progress=progress,
+    outcomes = resilience.run_many_outcomes(
+        requests, processes, cache, policy, injector
     )
-    for key, stats in zip(pending, fresh):
-        cache.put(key, stats)
-        for occurrence, index in enumerate(groups[key]):
-            results[index] = BatchResult(
-                label=requests[index].label,
-                key=key,
-                stats=stats,
-                cached=occurrence > 0,
-            )
-    return results
+    return [
+        BatchResult(outcome.label, outcome.key, outcome.stats,
+                    outcome.cached)
+        for outcome in resilience.require_ok(outcomes)
+    ]

@@ -4,8 +4,8 @@ The chaos harness needs faults that are *reproducible*: the same seed
 against the same sweep must kill the same workers, delay the same
 jobs, and corrupt the same cache entries on every run, so a failing
 CI matrix cell can be replayed locally byte for byte.  Every decision
-here is therefore a pure function of ``(seed, fault kind, request
-key, attempt)`` - no RNG state, nothing time-dependent - which also
+here is therefore a pure function of ``(seed, fault kind, job key,
+attempt)`` - no RNG state, nothing time-dependent - which also
 lets an injector travel to worker processes by pickling without
 losing determinism.
 

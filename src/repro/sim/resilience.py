@@ -1,47 +1,41 @@
-"""Fault-tolerant supervision for batched simulation jobs.
+"""Supervised execution: the one executor every batch runs on.
 
-:func:`repro.sim.batch.run_many` treats a worker failure as fatal:
-one lost process aborts the whole sweep and every in-flight result
-with it.  At fleet scale (thousands-of-configs design-space sweeps,
-long-lived simulation services) that is the wrong default - stalls
-and failures are an expected operating condition, not an exception,
-so the job plane applies the same observe/back-off/degrade discipline
-the DVFS governors apply to deadlines.
-
-This module supervises every job into a typed :class:`JobOutcome`
-instead of a raised exception:
+Every sweep in this package goes through :func:`supervise`: the fuzz
+sweep, the table renders and the bus-width explorer through
+:func:`repro.sim.batch.parallel_map`, and RunRequest kernel batches
+through :func:`run_many_outcomes` (which
+:func:`repro.sim.batch.run_many` rides on).  A :class:`Job` is
+``fn(item)`` with a label and a deterministic key, and supervision
+settles each one into a typed :class:`JobOutcome` instead of a raised
+exception:
 
 * **Retry with backoff** - a :class:`FaultPolicy` caps retries and
   spaces attempts by exponential backoff with *deterministic* jitter
-  derived from the request key, so two supervisors replaying the same
+  derived from the job key, so two supervisors replaying the same
   sweep make identical scheduling decisions.
 * **Per-job wall-clock timeouts** - in process mode an over-budget
   worker is terminated and the job rescheduled; in serial mode the
   timeout is enforced post-hoc (the result is discarded and the job
   retried) since an in-process attempt cannot be preempted.
-* **Worker-crash containment** - each job attempt runs in its own
-  supervised worker process, so a crash (segfault, ``os._exit``, OOM
-  kill) loses exactly one attempt; surviving pending jobs are
+* **Worker-crash containment** - in process mode each job attempt
+  runs in its own worker process, so a crash (segfault, ``os._exit``,
+  OOM kill) loses exactly one attempt; surviving pending jobs are
   unaffected and the crashed job is rescheduled on a fresh worker.
-* **Graceful engine degradation** - a job whose
-  :class:`~repro.sim.engine.CompiledEngine` raises an internal error
-  is retried once on the tick-accurate
-  :class:`~repro.sim.engine.ReferenceEngine` within the same attempt
-  and flagged ``degraded``, mirroring the engine's own
-  lockstep abort-and-fall-back ladder.  Bit-identity between the two
-  engines is a standing contract, so a degraded sweep still returns
-  correct statistics - just slower.
+* **Fallback input** - a job may carry a second input that ``fn``
+  runs on, within the same attempt, when the first call raises.
+  :func:`run_many_outcomes` gives every compiled-engine request its
+  reference-engine twin, so a
+  :class:`~repro.sim.engine.CompiledEngine` internal error settles
+  ``degraded``, mirroring the engine's own lockstep
+  abort-and-fall-back ladder.  Bit-identity between the two engines
+  is a standing contract, so a degraded sweep still returns correct
+  statistics - just slower.
 
 Every retry, timeout, crash, degradation, and cache quarantine is
 emitted on the :data:`repro.obs.events.BUS` (category ``batch``,
 track ``jobs``) and tallied process-wide; :func:`outcomes_snapshot`
 is the block the evaluation runner stamps into every ``BENCH_*``
 artifact, and :func:`check_outcomes` is the rule it is held to.
-
-:func:`run_many_outcomes` is the primary entry point;
-``run_many(policy=...)`` in :mod:`repro.sim.batch` rides on it and
-converts back to :class:`~repro.sim.batch.BatchResult`, raising
-:class:`~repro.errors.BatchError` on any terminal failure.
 """
 
 from __future__ import annotations
@@ -52,34 +46,31 @@ import time
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _wait_ready
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.errors import BatchError, SimulationError
 from repro.obs.events import BUS
-from repro.sim.batch import (
-    BatchResult,
-    ResultCache,
-    RunRequest,
-    execute,
-    request_key,
-)
+from repro.sim.batch import ResultCache, RunRequest, execute, request_key
 from repro.sim.faultinject import InjectedWorkerCrash
 
 __all__ = [
     "FaultPolicy",
+    "Job",
     "JobOutcome",
     "backoff_delay",
     "check_outcomes",
     "default_policy",
     "outcomes_snapshot",
+    "require_ok",
     "reset_outcome_counters",
     "run_many_outcomes",
     "set_default_policy",
+    "supervise",
 ]
 
 #: Outcome statuses a supervised job can settle into.  ``degraded``
-#: is a success (stats present, computed on the fallback engine);
-#: the last three are terminal failures.
+#: is a success (result computed from the fallback input); the last
+#: three are terminal failures.
 STATUSES = ("ok", "degraded", "failed", "timed_out", "worker_crashed")
 
 
@@ -95,14 +86,12 @@ class FaultPolicy:
     ``backoff_base_s`` / ``backoff_factor`` / ``backoff_max_s``
         Exponential retry spacing: attempt *n*'s delay is
         ``base * factor**(n-1)`` capped at ``backoff_max_s``, then
-        jittered deterministically from the request key
+        jittered deterministically from the job key
         (:func:`backoff_delay`).
     ``keep_going``
         ``False`` (fail-fast) aborts the batch on the first terminal
         failure; ``True`` (collect-partial) supervises every job to
         an outcome and returns them all.
-    ``degrade``
-        Enable the compiled-to-reference engine fallback ladder.
     """
 
     max_retries: int = 2
@@ -111,7 +100,6 @@ class FaultPolicy:
     backoff_factor: float = 2.0
     backoff_max_s: float = 5.0
     keep_going: bool = False
-    degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -135,7 +123,9 @@ class FaultPolicy:
 class JobOutcome:
     """One supervised job's terminal state.
 
-    ``stats`` is present exactly when :attr:`ok` (statuses ``ok`` and
+    ``stats`` holds the job's result (the
+    :class:`~repro.sim.stats.SimulationStats` of a RunRequest) and is
+    present exactly when :attr:`ok` (statuses ``ok`` and
     ``degraded``).  ``attempts`` counts executions (0 for a pure
     cache hit); ``retries`` is ``attempts - 1`` floored at zero.
     ``error`` summarizes the *last* failure for non-ok outcomes.
@@ -153,8 +143,35 @@ class JobOutcome:
 
     @property
     def ok(self) -> bool:
-        """Whether the job produced usable statistics."""
+        """Whether the job produced a usable result."""
         return self.status in ("ok", "degraded")
+
+
+class Job:
+    """One unit of supervised work: ``fn(item)``.
+
+    ``label`` names the job in events and errors.  ``key`` is
+    deterministic for the job (backoff jitter and fault injection are
+    pure functions of it); by default it hashes the label, never the
+    item, so an in-process job need not pickle.  ``fallback``, when
+    not ``None``, is the input ``fn`` runs on within the same attempt
+    if ``fn(item)`` raises; a result computed from it settles
+    ``degraded``.
+    """
+
+    __slots__ = ("fn", "item", "label", "key", "fallback", "attempts",
+                 "ready_at")
+
+    def __init__(self, fn: Callable, item, label: str,
+                 key: str | None = None, fallback=None) -> None:
+        self.fn = fn
+        self.item = item
+        self.label = label
+        self.key = key if key is not None \
+            else hashlib.sha256(label.encode()).hexdigest()
+        self.fallback = fallback
+        self.attempts = 0
+        self.ready_at = 0.0
 
 
 def backoff_delay(
@@ -163,7 +180,7 @@ def backoff_delay(
     """Delay before retry number ``attempt`` (1-based) of ``key``.
 
     Exponential in the attempt number, capped, and jittered into
-    ``[0.5, 1.5) x`` the nominal delay by a hash of the request key -
+    ``[0.5, 1.5) x`` the nominal delay by a hash of the job key -
     deterministic (two supervisors schedule identically) yet spread
     (a retry storm over many keys does not thunder in lockstep).
     """
@@ -248,7 +265,8 @@ def check_outcomes(payload: dict) -> list:
 
 
 # ----------------------------------------------------------------------
-# Global default policy: set by runner flags, consulted by run_many.
+# Global default policy: set by runner flags, used by every batch
+# that names none.
 # ----------------------------------------------------------------------
 
 _DEFAULT_POLICY: FaultPolicy | None = None
@@ -257,10 +275,11 @@ _DEFAULT_POLICY: FaultPolicy | None = None
 def set_default_policy(policy: FaultPolicy | None) -> None:
     """Install (or clear, with ``None``) the process default policy.
 
-    When set, every :func:`repro.sim.batch.run_many` call without an
-    explicit policy runs supervised under it - how the runner's
+    Every batch without an explicit policy runs under it (or under
+    ``FaultPolicy()`` when none is installed) - how the runner's
     ``--job-timeout`` / ``--retries`` / ``--keep-going`` flags reach
-    the batches deep inside the measured-power pipeline.
+    the fuzz sweep, the renders, and the batches deep inside the
+    measured-power pipeline.
     """
     global _DEFAULT_POLICY
     _DEFAULT_POLICY = policy
@@ -279,65 +298,54 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _attempt(
-    request: RunRequest,
-    key: str,
-    injector,
-    attempt: int,
-    degrade: bool,
-    in_worker: bool,
-) -> tuple:
+def _attempt(job: Job, injector, attempt: int, in_worker: bool) -> tuple:
     """Execute one attempt; never raises except for injected kills.
 
-    Returns ``("ok", stats, degraded)`` or ``("error", summary,
-    degraded_tried)``.  The degradation ladder lives here so a
-    compiled-engine internal error falls back to the reference engine
-    *within* the same attempt (and the same timeout budget).
+    Returns ``("ok", result, degraded)`` or ``("error", summary,
+    fell_back)``.  The fallback input runs *within* the same attempt
+    (and the same timeout budget).
     """
     if injector is not None:
-        injector.before_attempt(key, request.label, attempt, in_worker)
+        injector.before_attempt(job.key, job.label, attempt, in_worker)
     fault = (
-        injector.engine_fault(key, attempt)
-        if injector is not None else None
+        injector.engine_fault(job.key, attempt)
+        if injector is not None and job.fallback is not None else None
     )
     try:
-        if fault is not None and request.engine == "compiled":
+        if fault is not None:
             raise SimulationError(
                 f"injected compiled-engine fault in phase "
                 f"{fault.phase!r}"
             )
-        return ("ok", execute(request), False)
+        return ("ok", job.fn(job.item), False)
     except Exception as exc:
-        if degrade and request.engine == "compiled":
-            try:
-                stats = execute(replace(request, engine="reference"))
-            except Exception as fallback_exc:
-                return (
-                    "error",
-                    f"{_describe(exc)}; reference fallback also "
-                    f"failed: {_describe(fallback_exc)}",
-                    True,
-                )
-            return ("ok", stats, True)
-        return ("error", _describe(exc), False)
+        if job.fallback is None:
+            return ("error", _describe(exc), False)
+        try:
+            return ("ok", job.fn(job.fallback), True)
+        except Exception as fallback_exc:
+            return (
+                "error",
+                f"{_describe(exc)}; fallback also failed: "
+                f"{_describe(fallback_exc)}",
+                True,
+            )
 
 
-def _worker_entry(conn, request, key, injector, attempt, degrade):
+def _worker_entry(conn, job, injector, attempt):
     """Worker-process main: run one attempt, report through the pipe.
 
     A worker that dies without sending (kill, segfault) is detected
     parent-side as EOF on the pipe - the worker-crash path.
     """
     try:
-        message = _attempt(
-            request, key, injector, attempt, degrade, in_worker=True
-        )
+        message = _attempt(job, injector, attempt, in_worker=True)
     except BaseException as exc:  # report, never crash silently
         message = ("error", _describe(exc), False)
     try:
         conn.send(message)
-    except Exception:
-        pass
+    except Exception as exc:  # an unpicklable result, say
+        conn.send(("error", f"result not sent: {_describe(exc)}", False))
     finally:
         conn.close()
 
@@ -346,42 +354,25 @@ def _worker_entry(conn, request, key, injector, attempt, degrade):
 # The supervisor.
 # ----------------------------------------------------------------------
 
-class _Job:
-    """Mutable bookkeeping for one unique request in flight."""
-
-    __slots__ = ("request", "key", "attempts", "ready_at")
-
-    def __init__(self, request: RunRequest, key: str) -> None:
-        self.request = request
-        self.key = key
-        self.attempts = 0
-        self.ready_at = 0.0
-
-
-class _FailFast(Exception):
-    """Internal signal: a terminal failure under fail-fast mode."""
-
-    def __init__(self, outcome: JobOutcome) -> None:
-        super().__init__(outcome.error)
-        self.outcome = outcome
-
-
 class _Supervisor:
-    """Drives a set of unique jobs to outcomes under one policy."""
+    """Drives a list of jobs to outcomes under one policy."""
 
-    def __init__(self, policy, injector, done: dict) -> None:
+    def __init__(self, jobs, outcomes, policy, injector, progress):
+        self.jobs = jobs
+        self.outcomes = outcomes
         self.policy = policy
         self.injector = injector
-        self.done = done
-        self.queue: list = []
+        self.progress = progress
+        self.landed = 0
+        self.queue: list = list(range(len(jobs)))  # job indices
 
     # -- telemetry ------------------------------------------------------
-    def _event(self, name: str, job: _Job, **extra) -> None:
+    def _event(self, name: str, job: Job, **extra) -> None:
         if BUS.active:
             BUS.instant(
                 name, category="batch", track="jobs",
                 args={
-                    "label": job.request.label,
+                    "label": job.label,
                     "key": job.key[:12],
                     "attempt": job.attempts,
                     **extra,
@@ -389,8 +380,18 @@ class _Supervisor:
             )
 
     # -- settling -------------------------------------------------------
-    def _settle(self, job: _Job, message: tuple) -> None:
+    def _land(self, index: int, outcome: JobOutcome) -> None:
+        """Record a terminal outcome; report progress in job order."""
+        self.outcomes[index] = outcome
+        while (self.landed < len(self.outcomes)
+               and self.outcomes[self.landed] is not None):
+            if self.progress is not None:
+                self.progress(self.landed)
+            self.landed += 1
+
+    def _settle(self, index: int, message: tuple) -> None:
         """Fold one attempt's result into retry-or-outcome."""
+        job = self.jobs[index]
         kind, payload, degraded = message
         job.attempts += 1
         if kind == "ok":
@@ -399,11 +400,11 @@ class _Supervisor:
             self._event(
                 "job_degraded" if degraded else "job_done", job
             )
-            self.done[job.key] = JobOutcome(
-                label=job.request.label, key=job.key, status=status,
+            self._land(index, JobOutcome(
+                label=job.label, key=job.key, status=status,
                 stats=payload, attempts=job.attempts,
                 retries=job.attempts - 1, degraded=degraded,
-            )
+            ))
             return
         status = {
             "error": "failed",
@@ -427,19 +428,23 @@ class _Supervisor:
             _COUNTERS["retries"] += 1
             self._event("job_retry", job, backoff_s=round(delay, 6))
             job.ready_at = time.monotonic() + delay
-            self.queue.append(job)
+            self.queue.append(index)
             return
         outcome = JobOutcome(
-            label=job.request.label, key=job.key, status=status,
+            label=job.label, key=job.key, status=status,
             attempts=job.attempts, retries=job.attempts - 1,
             degraded=degraded, error=payload,
         )
-        self.done[job.key] = outcome
+        self._land(index, outcome)
         if not self.policy.keep_going:
-            raise _FailFast(outcome)
+            raise BatchError(
+                f"job {job.label or job.key[:12]!r} {status} after "
+                f"{job.attempts} attempt(s): {payload}",
+                label=job.label, outcome=outcome,
+            )
 
     # -- serial mode ----------------------------------------------------
-    def run_serial(self, jobs: list) -> None:
+    def run_serial(self) -> None:
         """In-process supervision: crashes and timeouts still settle.
 
         Injected kills arrive as :class:`InjectedWorkerCrash`;
@@ -447,17 +452,16 @@ class _Supervisor:
         preempted, so an over-budget result is discarded and the job
         retried) - documented serial-mode semantics.
         """
-        self.queue.extend(jobs)
         while self.queue:
-            job = self.queue.pop(0)
+            index = self.queue.pop(0)
+            job = self.jobs[index]
             wait = job.ready_at - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
             start = time.monotonic()
             try:
                 message = _attempt(
-                    job.request, job.key, self.injector,
-                    job.attempts + 1, self.policy.degrade,
+                    job, self.injector, job.attempts + 1,
                     in_worker=False,
                 )
             except InjectedWorkerCrash as exc:
@@ -473,10 +477,10 @@ class _Supervisor:
                     f"job took {elapsed:.3f}s, budget {timeout}s",
                     message[2],
                 )
-            self._settle(job, message)
+            self._settle(index, message)
 
     # -- process mode ---------------------------------------------------
-    def run_pool(self, jobs: list, processes: int) -> None:
+    def run_pool(self, processes: int) -> None:
         """Supervise jobs across per-job worker processes.
 
         Each attempt gets a fresh worker (crash containment is the
@@ -486,37 +490,36 @@ class _Supervisor:
         once their backoff expires.
         """
         ctx = get_context()
-        self.queue.extend(jobs)
-        slots: dict = {}  # recv conn -> (process, job, deadline)
+        slots: dict = {}  # recv conn -> (process, index, deadline)
         try:
             while self.queue or slots:
                 now = time.monotonic()
                 self._launch_ready(ctx, slots, processes, now)
                 timeout = self._poll_timeout(slots, now)
                 for conn in _wait_ready(list(slots), timeout=timeout):
-                    process, job, _ = slots.pop(conn)
+                    process, index, _ = slots.pop(conn)
                     try:
                         message = conn.recv()
                     except EOFError:
-                        message = (
-                            "crashed",
-                            f"worker exited with code "
-                            f"{process.exitcode} before reporting",
-                            False,
-                        )
+                        message = None
                     conn.close()
                     process.join()
-                    self._settle(job, message)
+                    self._settle(index, message or (
+                        "crashed",
+                        f"worker exited with code {process.exitcode} "
+                        f"before reporting",
+                        False,
+                    ))
                 now = time.monotonic()
                 for conn in [
                     conn for conn, (_, _, deadline) in slots.items()
                     if deadline is not None and now >= deadline
                 ]:
-                    process, job, _ = slots.pop(conn)
+                    process, index, _ = slots.pop(conn)
                     process.terminate()
                     process.join()
                     conn.close()
-                    self._settle(job, (
+                    self._settle(index, (
                         "timeout",
                         f"exceeded {self.policy.timeout_s}s budget; "
                         f"worker terminated",
@@ -532,19 +535,19 @@ class _Supervisor:
 
     def _launch_ready(self, ctx, slots, processes, now) -> None:
         while len(slots) < processes:
-            index = next(
-                (i for i, job in enumerate(self.queue)
-                 if job.ready_at <= now),
+            position = next(
+                (i for i, index in enumerate(self.queue)
+                 if self.jobs[index].ready_at <= now),
                 None,
             )
-            if index is None:
+            if position is None:
                 return
-            job = self.queue.pop(index)
+            index = self.queue.pop(position)
+            job = self.jobs[index]
             recv, send = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_worker_entry,
-                args=(send, job.request, job.key, self.injector,
-                      job.attempts + 1, self.policy.degrade),
+                args=(send, job, self.injector, job.attempts + 1),
             )
             process.start()
             send.close()
@@ -552,7 +555,7 @@ class _Supervisor:
                 now + self.policy.timeout_s
                 if self.policy.timeout_s is not None else None
             )
-            slots[recv] = (process, job, deadline)
+            slots[recv] = (process, index, deadline)
 
     def _poll_timeout(self, slots, now) -> float:
         """How long the next wait may block without missing an edge."""
@@ -562,118 +565,58 @@ class _Supervisor:
             if deadline is not None
         ]
         backoffs = [
-            job.ready_at - now for job in self.queue
-            if job.ready_at > now
+            self.jobs[index].ready_at - now for index in self.queue
+            if self.jobs[index].ready_at > now
         ]
         for edge in deadlines + backoffs:
             horizon = min(horizon, max(edge, 0.0))
         return horizon
 
 
-def _supervise(jobs, policy, injector, processes, done) -> None:
-    """Run unique jobs to outcomes in ``done``; raise on fail-fast."""
-    if processes is None:
-        processes = min(len(jobs), os.cpu_count() or 1)
-    supervisor = _Supervisor(policy, injector, done)
-    try:
-        if processes <= 1 or len(jobs) <= 1:
-            supervisor.run_serial(list(jobs))
-        else:
-            supervisor.run_pool(list(jobs), processes)
-    except _FailFast as failure:
-        outcome = failure.outcome
-        raise BatchError(
-            f"job {outcome.label or outcome.key[:12]!r} "
-            f"{outcome.status} after {outcome.attempts} attempt(s): "
-            f"{outcome.error}",
-            label=outcome.label, outcome=outcome,
-        ) from None
-
-
-def run_many_outcomes(
-    requests: Iterable[RunRequest],
+def supervise(
+    jobs: list,
+    outcomes: list,
     processes: int | None = None,
-    cache: ResultCache | None = None,
     policy: FaultPolicy | None = None,
     injector=None,
-) -> list[JobOutcome]:
-    """Supervised :func:`~repro.sim.batch.run_many`: outcomes, not raises.
+    progress: Callable[[int], None] | None = None,
+) -> None:
+    """Drive ``jobs`` to outcomes: ``outcomes[i]`` settles ``jobs[i]``.
 
-    Cache hits and in-batch duplicates behave exactly like
-    ``run_many`` - identical requests share one supervised execution
-    (even across its retries) and every copy past the first comes
-    back ``cached=True``.  Every completed job is written back to the
-    cache *even when the batch aborts fail-fast*, so a re-run only
-    pays for the unfinished tail.
-
-    Under ``policy.keep_going`` the returned list always covers every
-    request; fail-fast mode raises :class:`~repro.errors.BatchError`
-    on the first terminal failure instead.
+    ``outcomes`` is filled in place as jobs settle, so a caller still
+    holds every settled job when fail-fast mode raises
+    :class:`~repro.errors.BatchError` on the first terminal failure.
+    ``policy`` defaults to the process default
+    (:func:`set_default_policy`), else ``FaultPolicy()``.
+    ``processes=None`` sizes the worker count to the host;
+    ``processes<=1`` or a batch of one runs in-process.  ``progress``
+    is called with each job's index as it settles, in job order, in
+    the calling process.
     """
-    requests = list(requests)
-    policy = policy if policy is not None else (
-        default_policy() or FaultPolicy()
-    )
-    cache = cache if cache is not None else ResultCache()
-    keys = [request_key(request) for request in requests]
-    groups: dict = {}
-    for index, key in enumerate(keys):
-        groups.setdefault(key, []).append(index)
-    outcomes_by_key: dict = {}
-    jobs = []
-    for key, indices in groups.items():
-        stats = cache.get(key)
-        if stats is not None:
-            outcomes_by_key[key] = JobOutcome(
-                label=requests[indices[0]].label, key=key,
-                status="ok", stats=stats, cached=True,
-            )
-            if BUS.active:
-                BUS.instant(
-                    "job_cached", category="batch", track="jobs",
-                    args={
-                        "label": requests[indices[0]].label,
-                        "key": key[:12],
-                    },
-                )
-            continue
-        jobs.append(_Job(requests[indices[0]], key))
+    policy = policy or default_policy() or FaultPolicy()
+    if processes is None:
+        processes = min(len(jobs), os.cpu_count() or 1)
+    processes = max(1, min(processes, len(jobs)))
     if BUS.active:
+        # Lifecycle events are parent-side only: a forked worker
+        # inherits a copy of the bus whose events die with it.
         BUS.instant(
             "batch_submitted", category="batch", track="jobs",
-            args={
-                "jobs": len(requests),
-                "unique": len(groups),
-                "cached": len(groups) - len(jobs),
-                "executing": len(jobs),
-                "supervised": True,
-            },
+            args={"jobs": len(jobs), "processes": processes},
         )
-    done: dict = {}
-    try:
-        if jobs:
-            _supervise(jobs, policy, injector, processes, done)
-    finally:
-        # Write-back happens even when fail-fast aborts the batch:
-        # completed work survives for the re-run.
-        for key, outcome in done.items():
-            if outcome.ok and outcome.stats is not None:
-                cache.put(key, outcome.stats)
-    outcomes_by_key.update(done)
-    results = []
-    for index, key in enumerate(keys):
-        outcome = outcomes_by_key[key]
-        primary = groups[key][0] == index
-        results.append(replace(
-            outcome,
-            label=requests[index].label,
-            cached=outcome.cached or not primary,
-        ))
-    return results
+    supervisor = _Supervisor(jobs, outcomes, policy, injector, progress)
+    if processes == 1:
+        supervisor.run_serial()
+    else:
+        supervisor.run_pool(processes)
 
 
-def to_batch_results(outcomes: list) -> list:
-    """Convert all-ok outcomes to BatchResults; raise on any failure."""
+def require_ok(outcomes: list) -> list:
+    """``outcomes`` unchanged if every job succeeded, else BatchError.
+
+    The error names the first failed job (a ``keep_going`` batch
+    settles every job before its caller gets here).
+    """
     failures = [outcome for outcome in outcomes if not outcome.ok]
     if failures:
         first = failures[0]
@@ -683,10 +626,74 @@ def to_batch_results(outcomes: list) -> list:
             f"({first.status}: {first.error})",
             label=first.label, outcome=first,
         )
-    return [
-        BatchResult(
-            label=outcome.label, key=outcome.key,
-            stats=outcome.stats, cached=outcome.cached,
+    return outcomes
+
+
+def run_many_outcomes(
+    requests: Iterable[RunRequest],
+    processes: int | None = None,
+    cache: ResultCache | None = None,
+    policy: FaultPolicy | None = None,
+    injector=None,
+) -> list[JobOutcome]:
+    """Supervise a RunRequest batch through the cache: outcomes, not raises.
+
+    Cache hits never reach a worker, identical requests within the
+    batch share one supervised execution (even across its retries)
+    and every copy past the first comes back ``cached=True``.  A
+    compiled-engine request falls back to the reference engine
+    within the same attempt (``degraded``).  Every completed job is
+    written back to the cache *even when the batch aborts
+    fail-fast*, so a re-run only pays for the unfinished tail.
+
+    Under ``policy.keep_going`` the returned list always covers every
+    request; fail-fast mode raises :class:`~repro.errors.BatchError`
+    on the first terminal failure instead.
+    """
+    requests = list(requests)
+    cache = cache if cache is not None else ResultCache()
+    keys = [request_key(request) for request in requests]
+    groups: dict = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    by_key: dict = {}
+    jobs = []
+    for key, indices in groups.items():
+        request = requests[indices[0]]
+        stats = cache.get(key)
+        if stats is None:
+            fallback = (
+                replace(request, engine="reference")
+                if request.engine == "compiled" else None
+            )
+            jobs.append(Job(execute, request, request.label, key,
+                            fallback))
+            continue
+        by_key[key] = JobOutcome(
+            label=request.label, key=key, status="ok", stats=stats,
+            cached=True,
         )
-        for outcome in outcomes
+        if BUS.active:
+            BUS.instant(
+                "job_cached", category="batch", track="jobs",
+                args={"label": request.label, "key": key[:12]},
+            )
+    settled: list = [None] * len(jobs)
+    try:
+        supervise(jobs, settled, processes, policy, injector)
+    finally:
+        # Write-back happens even when fail-fast aborts the batch:
+        # completed work survives for the re-run.
+        for job, outcome in zip(jobs, settled):
+            if outcome is not None and outcome.ok:
+                cache.put(job.key, outcome.stats)
+    by_key.update(
+        (job.key, outcome) for job, outcome in zip(jobs, settled)
+    )
+    return [
+        replace(
+            by_key[key], label=requests[index].label,
+            cached=by_key[key].cached or groups[key][0] != index,
+        )
+        for index, key in enumerate(keys)
     ]

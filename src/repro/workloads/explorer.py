@@ -187,7 +187,7 @@ class ViterbiBusStudy:
         Points are independent, so the grid fans out through
         :func:`repro.sim.batch.parallel_map`; ``processes=1`` (the
         default) evaluates in-process, ``processes=None`` sizes the
-        pool to the host.
+        worker count to the host.
         """
         grid = [(n, w) for n in tile_counts for w in bus_widths]
         return parallel_map(self._evaluate_point, grid, processes)

@@ -15,7 +15,7 @@ from repro.eval.engines import (
     check_bench,
     compare_baseline,
 )
-from repro.sim.resilience import outcomes_snapshot
+from repro.sim.resilience import check_outcomes, outcomes_snapshot
 
 _TOOL = Path(__file__).parents[2] / "tools" / "check_artifact.py"
 _spec = importlib.util.spec_from_file_location("check_artifact", _TOOL)
@@ -136,8 +136,10 @@ def test_committed_baseline_is_valid(capsys):
     assert set(baseline["workloads"]) == set(WORKLOADS)
     for entry in baseline["workloads"].values():
         assert entry["speedup"] > 0
-    # Its profiles satisfy the same rules a fresh artifact's must.
+    # Its profiles and outcomes satisfy the same rules a fresh
+    # artifact's must.
     assert check_bench(baseline) == []
+    assert check_outcomes(baseline) == []
     assert compare_baseline(baseline, baseline) == []
 
 

@@ -47,7 +47,7 @@ def _fuzz():
         for app in APPS for topology in TOPOLOGIES
     ]
     payload = fuzz.bench_payload(rows, seed=11)  # 15 cases
-    payload["outcomes"] = _clean()
+    payload["outcomes"] = {**_clean(), "ok": len(rows)}
     return payload
 
 
@@ -137,6 +137,8 @@ RULES = [
           ["--min-cases", "16"]),
     _case("fuzz-cases-int", _fuzz, put("cases", "15"), "cases must be"),
     _case("fuzz-failures", _fuzz, put("failures", 1), "failures must be 0"),
+    _case("fuzz-outcomes-ok", _fuzz, put("outcomes", "ok", 0),
+          "outcomes['ok'] must count the 15 supervised case jobs"),
     _case("fuzz-seed", _fuzz, put("seed", "11"), "seed must be"),
     _case("fuzz-invariants", _fuzz, put("invariants", []),
           "invariants must be a non-empty list"),

@@ -87,18 +87,6 @@ def test_emit_artifact_stamps_outcomes_block(tmp_path):
     assert all(count == 0 for count in outcomes.values())
 
 
-def test_emit_artifact_accepts_explicit_outcomes(tmp_path):
-    from repro.eval.runner import emit_artifact
-
-    target = emit_artifact(
-        {"artifact": "BENCH_fake"}, str(tmp_path),
-        outcomes={"ok": 7, "retries": 1},
-    )
-    assert json.loads(target.read_text())["outcomes"] == {
-        "ok": 7, "retries": 1,
-    }
-
-
 @pytest.mark.parametrize("artifact", [
     "BENCH_engine", "BENCH_dvfs", "BENCH_coordinated", "BENCH_fuzz",
     "BENCH_power",

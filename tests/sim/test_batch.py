@@ -1,8 +1,12 @@
 """Batched runs: correctness, caching, and the parallel fan-out."""
 
+import os
+import time
+
 import pytest
 
 from repro.arch.config import ChipConfig, ColumnConfig
+from repro.errors import BatchError
 from repro.isa.assembler import assemble
 from repro.sim.batch import (
     ResultCache,
@@ -119,6 +123,26 @@ def test_parallel_map_serial_and_pooled_agree():
         == [x * x for x in items]
 
 
+def _slow_first(x):
+    if x == 0:
+        time.sleep(0.3)
+    return x * x
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_parallel_map_progress_lands_in_item_order(processes):
+    landed = []
+    assert parallel_map(_slow_first, [0, 1, 2], processes=processes,
+                        progress=landed.append) == [0, 1, 4]
+    assert landed == [0, 1, 2]
+
+
+def test_parallel_map_in_process_needs_no_pickling():
+    offset = 3  # a closure over a lambda item: neither pickles
+    assert parallel_map(lambda item: item() + offset, [lambda: 1],
+                        processes=1) == [4]
+
+
 def test_parallel_map_empty():
     assert parallel_map(_square, []) == []
 
@@ -130,27 +154,29 @@ def _explode_on_three(x):
 
 
 def test_parallel_map_attaches_job_label_serial():
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(BatchError) as excinfo:
         parallel_map(
             _explode_on_three, [1, 3, 5], processes=1,
             labels=["a", "b", "c"],
         )
-    assert any("'b'" in note for note in excinfo.value.__notes__)
+    assert excinfo.value.label == "b"
+    assert "'b'" in str(excinfo.value) and "boom" in str(excinfo.value)
 
 
 def test_parallel_map_attaches_job_label_pooled():
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(BatchError) as excinfo:
         parallel_map(
             _explode_on_three, [1, 2, 3, 4], processes=2,
             labels=["w", "x", "y", "z"],
         )
-    assert any("'y'" in note for note in excinfo.value.__notes__)
+    assert excinfo.value.label == "y"
+    assert "'y'" in str(excinfo.value)
 
 
 def test_parallel_map_default_labels_name_the_item_index():
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(BatchError) as excinfo:
         parallel_map(_explode_on_three, [0, 3], processes=2)
-    assert any("item 1" in note for note in excinfo.value.__notes__)
+    assert "item 1" in str(excinfo.value)
 
 
 def test_parallel_map_rejects_mismatched_labels():
@@ -159,12 +185,24 @@ def test_parallel_map_rejects_mismatched_labels():
 
 
 def test_parallel_map_pool_is_usable_after_worker_error():
-    # A failing batch must terminate its pool cleanly (no leaked
-    # workers wedging the next call) and leave parallel_map fully
-    # functional.
-    with pytest.raises(ValueError):
+    # A failing batch must leave no worker behind (none wedging the
+    # next call) and parallel_map fully functional.
+    with pytest.raises(BatchError):
         parallel_map(_explode_on_three, [3, 1], processes=2)
     assert parallel_map(_square, [5, 6], processes=2) == [25, 36]
+
+
+def _exit_on_three(x):
+    if x == 3:
+        os._exit(1)
+    return x * x
+
+
+def test_parallel_map_worker_death_is_a_batch_error():
+    with pytest.raises(BatchError) as excinfo:
+        parallel_map(_exit_on_three, [1, 3], processes=2)
+    assert excinfo.value.label == "item 1"
+    assert excinfo.value.outcome.status == "worker_crashed"
 
 
 def test_disk_cache_quarantines_truncated_pickle(tmp_path):

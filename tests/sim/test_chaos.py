@@ -5,7 +5,9 @@ injection of worker kills, per-job timeouts, engine faults, and cache
 corruption, ``run_many_outcomes`` completes the sweep with statistics
 **bit-identical** to a fault-free run, and every retry, degradation,
 and quarantine is visible in the outcomes, the counters, and on the
-obs bus.
+obs bus.  A generated-case fuzz sweep on the same supervisor comes out
+with the fault-free rows under worker kills, and a case that overruns
+its budget settles ``timed_out`` under its ``(seed, index)`` label.
 
 CI runs this file once per seed of its matrix (``CHAOS_SEED``); the
 injector is a pure function of the seed, so any red cell replays
@@ -17,16 +19,22 @@ import os
 import pytest
 
 from repro.arch.config import ChipConfig, ColumnConfig
+from repro.errors import BatchError
+from repro.eval import fuzz
 from repro.isa.assembler import assemble
 from repro.obs.events import subscribed
 from repro.sim.batch import ResultCache, run_many, RunRequest
 from repro.sim.faultinject import FaultInjector, FaultSpec
 from repro.sim.resilience import (
     FaultPolicy,
+    Job,
     outcomes_snapshot,
     reset_outcome_counters,
     run_many_outcomes,
+    set_default_policy,
+    supervise,
 )
+from repro.workloads.generate import check_case
 
 SEED = int(os.environ.get("CHAOS_SEED", "11"))
 
@@ -258,3 +266,70 @@ def test_supervised_run_many_is_a_drop_in_under_faults(baseline):
         injector=injector,
     )
     assert [r.stats for r in results] == baseline
+
+
+# A fuzz sweep: generated-case check_case jobs labelled the way
+# repro.eval.fuzz.evaluate labels them, through the same supervisor.
+
+FUZZ_SEED, FUZZ_COUNT = 11, 4
+
+
+@pytest.fixture(scope="module")
+def fuzz_rows():
+    """Fault-free rows of the four-case sweep."""
+    return fuzz.evaluate(FUZZ_SEED, FUZZ_COUNT, processes=1)
+
+
+def _fuzz_sweep(processes, policy, injector):
+    jobs = [
+        Job(check_case, (FUZZ_SEED, index),
+            f"fuzz (seed {FUZZ_SEED}, index {index})")
+        for index in range(FUZZ_COUNT)
+    ]
+    outcomes = [None] * len(jobs)
+    supervise(jobs, outcomes, processes, policy, injector)
+    return outcomes
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_fuzz_sweep_survives_worker_kills(fuzz_rows, processes):
+    injector = FaultInjector(
+        SEED, [FaultSpec("kill_worker", rate=1.0, attempts=(1,))]
+    )
+    outcomes = _fuzz_sweep(
+        processes, FaultPolicy(max_retries=2, backoff_base_s=0.0),
+        injector,
+    )
+    assert [o.stats for o in outcomes] == fuzz_rows
+    assert [o.retries for o in outcomes] == [1] * FUZZ_COUNT
+    assert outcomes_snapshot()["worker_crashed"] == FUZZ_COUNT
+
+
+def test_hung_fuzz_case_times_out_under_its_label():
+    injector = FaultInjector(
+        SEED, [FaultSpec("delay_job", rate=1.0, attempts=(1, 2),
+                         delay_s=5.0)]
+    )
+    outcomes = _fuzz_sweep(
+        2, FaultPolicy(max_retries=1, timeout_s=0.2, backoff_base_s=0.0,
+                       keep_going=True),
+        injector,
+    )
+    assert [o.status for o in outcomes] == ["timed_out"] * FUZZ_COUNT
+    assert [o.label for o in outcomes] == [
+        f"fuzz (seed {FUZZ_SEED}, index {index})"
+        for index in range(FUZZ_COUNT)
+    ]
+    assert all(o.attempts == 2 for o in outcomes)
+
+
+def test_fail_fast_fuzz_sweep_names_the_pair():
+    # What `runner --fuzz --job-timeout` does to a case over budget.
+    set_default_policy(FaultPolicy(max_retries=0, timeout_s=0.001))
+    try:
+        with pytest.raises(BatchError, match=(
+            rf"job 'fuzz \(seed {FUZZ_SEED}, index \d\)' timed_out"
+        )):
+            fuzz.evaluate(FUZZ_SEED, FUZZ_COUNT, processes=2)
+    finally:
+        set_default_policy(None)

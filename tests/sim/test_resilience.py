@@ -7,7 +7,7 @@ from repro.errors import BatchError
 from repro.isa.assembler import assemble
 from repro.obs.events import BUS, subscribed
 from repro.sim import resilience
-from repro.sim.batch import ResultCache, RunRequest, run_many
+from repro.sim.batch import ResultCache, RunRequest, request_key, run_many
 from repro.sim.faultinject import FaultInjector, FaultSpec
 from repro.sim.resilience import (
     FaultPolicy,
@@ -55,6 +55,19 @@ def make_request(iterations=12, divider=1, engine="compiled",
         ),
         programs=(program,),
         engine=engine,
+        label=label,
+    )
+
+
+def deadlocked_request(label):
+    """A request both engines reject: nobody ever sends."""
+    return RunRequest(
+        config=ChipConfig(
+            reference_mhz=100.0,
+            columns=(ColumnConfig(divider=1),),
+        ),
+        programs=(assemble("recv r0\nhalt"),),
+        max_ticks=300,
         label=label,
     )
 
@@ -133,21 +146,18 @@ def test_engine_fault_degrades_to_reference_bit_identical():
     assert outcomes_snapshot()["degraded"] == 1
 
 
-def test_degradation_disabled_fails_instead():
-    request = make_request(label="nodeg")
-    injector = FaultInjector(
-        5, [FaultSpec("raise_in_engine", rate=1.0,
-                      attempts=(1, 2, 3))]
-    )
+def test_job_failing_on_both_engines_settles_failed():
     policy = FaultPolicy(max_retries=1, backoff_base_s=0.0,
-                         degrade=False, keep_going=True)
-    outcomes = run_many_outcomes(
-        [request], processes=1, policy=policy, injector=injector
-    )
+                         keep_going=True)
+    outcomes = run_many_outcomes([deadlocked_request("deadlock")],
+                                 processes=1, policy=policy)
     assert outcomes[0].status == "failed"
     assert not outcomes[0].ok
     assert outcomes[0].stats is None
-    assert "injected compiled-engine fault" in outcomes[0].error
+    assert outcomes[0].attempts == 2
+    assert "exceeded 300" in outcomes[0].error
+    assert "fallback also failed" in outcomes[0].error
+    assert outcomes_snapshot()["failed"] == 2
 
 
 def test_serial_timeout_is_posthoc_and_retried():
@@ -205,28 +215,19 @@ def test_keep_going_supervises_every_job_to_a_terminal_outcome():
 
 
 def test_failfast_abort_still_caches_completed_jobs():
-    ok_request = make_request(divider=1, label="done-first")
-    doomed = make_request(divider=2, iterations=7, label="doomed")
-    injector = FaultInjector(
-        1,
-        [FaultSpec("raise_in_engine", rate=1.0, attempts=(1, 2))],
-    )
-    # degrade=False turns injected engine faults into real failures;
-    # the injector hits both jobs, so pick orderings apart by
-    # running the clean job via cache pre-seeding instead.
+    done_first = make_request(divider=1, label="done-first")
+    doomed = deadlocked_request("doomed")
     cache = ResultCache()
-    clean = run_many_outcomes([ok_request], processes=1, cache=cache)
-    assert clean[0].status == "ok"
-    policy = FaultPolicy(max_retries=0, backoff_base_s=0.0,
-                         degrade=False)
-    with pytest.raises(BatchError):
+    policy = FaultPolicy(max_retries=0, backoff_base_s=0.0)
+    with pytest.raises(BatchError) as excinfo:
         run_many_outcomes(
-            [ok_request, doomed], processes=1, policy=policy,
-            injector=injector, cache=cache,
+            [done_first, doomed], processes=1, policy=policy,
+            cache=cache,
         )
-    # the pre-seeded job stayed served-from-cache; the doomed job
-    # wrote nothing back
-    assert cache.hits >= 1
+    assert excinfo.value.label == "doomed"
+    # the completed job was written back; the doomed one was not
+    assert len(cache) == 1
+    assert cache.get(request_key(done_first)) is not None
 
 
 def test_dedup_under_retry_executes_once_per_attempt(monkeypatch):
