@@ -214,14 +214,16 @@ LOCKSTEP_FAILURES = 8
 LOCKSTEP_PLAN_CAP = 256
 
 #: Recurrences of a safepoint signature, counted per chip structure
-#: across every engine in the process, before a recorder arms for it.
-#: On the cold governed corpus (CPython 3.11, 2-vCPU 2.1 GHz Xeon VM)
-#: a round build costs a median 0.32 ms per tick of its period, as
-#: much as dense-stepping the regime for about 40 rounds at 8.2 us
-#: per tick, and arming at the first recurrence built 456 plans of
-#: which 168 never completed a replay.  docs/engines.md gives the
-#: measurement and the sweep behind 16.
+#: across every engine in the process, before a recorder arms for it
+#: (docs/engines.md gives the measurements behind 16).
 LOCKSTEP_ARM_RECURRENCES = 16
+
+#: Dense windows this long hunt for lockstep rounds on any chip;
+#: shorter ones only on a structure seen before (``_hunt_scope``).
+LOCKSTEP_HUNT_TICKS = 1000
+
+#: Phase-boundary safepoints fall every ceil(256 / period) hyperperiods.
+LOCKSTEP_PHASE_TICKS = 256
 
 
 #: Sentinel bound for occupancy windows that no recorded predicate
@@ -278,9 +280,8 @@ class _RoundPlan:
         self.binds = binds
         self.fn = None
         self.failures = 0
-        #: key of this plan's entry in the cross-engine shared plan
-        #: cache (None while unshared); used to evict the shared copy
-        #: when the local plan is retired for repeated failures.
+        #: key of this plan in the shared plan cache (None while
+        #: unshared), to evict it when the plan retires for failures.
         self.gkey = None
 
     def enter(self, tick, credits):
@@ -1016,16 +1017,9 @@ _SHARED_LOCK_CAP = 1024
 _LOCK_RECURRENCES: dict = {}
 
 # Structural fingerprints interned to small ints so shared-cache keys
-# stay cheap to hash.
+# stay cheap to hash.  Every engine interns its own at its first dense
+# window, so membership says an earlier engine simulated the structure.
 _FP_INTERN: dict = {}
-
-# Local plan-cache marker for a signature already probed against the
-# shared cache and missed.  A signature is sighted again in window
-# after window (each governed epoch is one), mostly as a first
-# sighting that counts no recurrence; remembering the miss keeps each
-# such sighting to one local dict lookup instead of re-hashing the
-# (fingerprint, signature) key against the shared cache.
-_PROBE_MISS = object()
 
 
 class CompiledEngine(Engine):
@@ -1100,6 +1094,10 @@ class CompiledEngine(Engine):
         #: object-id -> structural-path map for the shared plan cache.
         self._lock_fp = None
         self._lock_path_of = None
+        #: an earlier engine interned that fingerprint; the last dense
+        #: window's :meth:`_hunt_scope` verdict.
+        self._lock_warm = False
+        self._hunt = None
         #: highest tick any window has reached; a chip observed below
         #: it again means the run restarted under this engine.
         self._profile_mark = 0
@@ -1301,9 +1299,9 @@ class CompiledEngine(Engine):
         self, pre: tuple, start: int, end: int, phase: str
     ) -> None:
         """Emit the window's telemetry: one engine-track span with the
-        profile-counter deltas, plus per-clock-domain tracks (divider
-        rung, relock-gated stretch, cumulative issue/stall counters,
-        halt instants)."""
+        profile-counter deltas and a dense window's ``hunt`` scope, plus
+        per-clock-domain tracks (divider rung, relock-gated stretch,
+        cumulative issue/stall counters, halt instants)."""
         chip = self.chip
         halted_pre, counters_pre = pre
         profile = self._profile
@@ -1312,6 +1310,8 @@ class CompiledEngine(Engine):
             for key, base in zip(self.WINDOW_DELTA_KEYS, counters_pre)
             if profile[key] != base
         }
+        if phase == "dense":
+            deltas["hunt"] = self._hunt
         BUS.span(
             f"window:{phase}", start, end, track="engine",
             args=deltas,
@@ -1428,28 +1428,23 @@ class CompiledEngine(Engine):
           which burn in O(1) as their ticks pass (or inside an orbit
           jump).
 
-        On top of both, the loop hunts for a recurring **lockstep
-        round**: the same anchor signature (column pcs, pending/loop
-        structure, credits, DOU states, hyperperiod phase) seen at two
-        batch-event safepoints a whole number of hyperperiods apart.
-        A signature without a plan here first probes the plans other
-        engines of the same chip structure built
-        (:meth:`_lock_probe`), so a structure that has earned its
-        rounds replays from the first sighting.  Otherwise detection
-        is gated and two-phase, so short regimes build nothing and the
-        steady state pays nothing: every recurrence adds one to the
-        signature's process-wide count for this structure
-        (:meth:`_lock_recurred`); the recurrence that brings it to
-        :data:`LOCKSTEP_ARM_RECURRENCES` *arms* a
-        :class:`_LockRecorder` that captures exactly one round richly
-        (occupancy snapshots, per-DOU stat deltas, comm predicate
-        inputs); the next recurrence builds the capture into a
-        :class:`_RoundPlan` whose replays (:meth:`_lock_replay`)
-        settle whole producer/consumer exchange rounds per iteration
-        - entry-validated by credit/counter equality and per-buffer
-        occupancy windows, with only the genuinely irregular
-        primitives executed and self-validated live.  Any divergence
-        aborts back here with the machine state real and consistent.
+        On top of both, the loop may hunt for a recurring **lockstep
+        round**: one anchor signature (column pcs, pending/loop
+        structure, credits, DOU states, hyperperiod phase) seen twice,
+        whole hyperperiods apart.  :meth:`_hunt_scope` decides once,
+        as the window opens, whether it hunts; one that does not takes
+        no safepoint.  The safepoints are orbit batches and phase
+        boundaries whole hyperperiods at least
+        :data:`LOCKSTEP_PHASE_TICKS` apart.  A signature without a
+        plan probes the plans other engines of the structure built
+        (:meth:`_lock_probe`); otherwise each recurrence counts toward
+        :data:`LOCKSTEP_ARM_RECURRENCES` per structure
+        (:meth:`_lock_recurred`).  Reaching it arms a
+        :class:`_LockRecorder` that captures one round richly, and the
+        next recurrence builds a :class:`_RoundPlan` whose replays
+        (:meth:`_lock_replay`) settle whole exchange rounds per call,
+        entry-validated, with irregular primitives validated live.
+        Any divergence aborts back here with the machine state real.
         """
         chip = self.chip
         columns = chip.columns
@@ -1468,17 +1463,16 @@ class CompiledEngine(Engine):
         lock_plans = self._lock_plans
         sigs: dict = {}  # lockstep signature -> last tick seen
         armed = None     # _LockRecorder while capturing one round
+        self._hunt = self._hunt_scope(limit - start)
+        hunting = self._hunt != "cold"
+        # Phase safepoints fall on ticks that are multiples of stride.
+        stride = -(-LOCKSTEP_PHASE_TICKS // period) * period
         live = sum(not column.halted for column in columns)
         tick = start
         if tick < max_gate:
-            # Relock-gated prefix: tick-accurate gate checks, with
-            # the same orbit batching as the steady state.  Once
-            # every stepped DOU parks in a no-progress orbit, no
-            # buffer can change before the next *executable* column
-            # edge - and a relock gate pushes each column's next
-            # executable edge out to its gate expiry - so the whole
-            # gated stretch settles arithmetically instead of
-            # paying per-tick gate checks.
+            # Relock-gated prefix: tick-accurate gate checks, with the
+            # steady state's orbit batching (a relock gate only pushes
+            # a column's next executable edge out to its expiry).
             gate_end = min(limit, max_gate)
             gate_moved = 0
             while live and tick < gate_end:
@@ -1542,28 +1536,21 @@ class CompiledEngine(Engine):
                     batch.append(effects)
             else:
                 batch = None
-            if batch is not None or offset == 0:
-                # Lockstep safepoint: replay a cached round for
-                # this anchor, build one from an armed capture,
-                # or count a recurrence and arm a capture once the
-                # signature has recurred LOCKSTEP_ARM_RECURRENCES
-                # times on this chip structure.
-                # Attempted at every no-progress orbit batch AND at
-                # every hyperperiod phase boundary: a periodic
-                # *busy* regime (words moving every tick, so no
-                # no-progress anchor ever appears) still recurs at
-                # phase 0, and its recorded round replays as lap
-                # applications and validated real steps with all
-                # the per-tick classification machinery skipped.
+            if hunting and (batch is not None
+                            or offset == 0 and tick % stride == 0):
+                # Lockstep safepoint: replay a cached round for this
+                # anchor, build one from an armed capture, or count a
+                # recurrence (arming a capture at
+                # LOCKSTEP_ARM_RECURRENCES).  Phase boundaries are
+                # safepoints too: a periodic *busy* regime (a word
+                # moves every tick) never orbit-batches, but recurs
+                # at phase 0.
                 sig = self._lock_signature(tick, period)
                 lplan = lock_plans.get(sig)
                 if lplan is None and _SHARED_LOCK_PLANS:
                     lplan = self._lock_probe(sig)
-                    lock_plans[sig] = (
-                        _PROBE_MISS if lplan is None else lplan
-                    )
-                elif lplan is _PROBE_MISS:
-                    lplan = None
+                    if lplan is not None:
+                        lock_plans[sig] = lplan
                 if (lplan is not None
                         and tick + lplan.period <= limit):
                     new_tick, rounds = self._lock_replay(
@@ -1635,17 +1622,15 @@ class CompiledEngine(Engine):
                     )
                     if due < jump:
                         jump = due
-                # The freeze proof holds through the DOU steps AT
-                # ``jump`` as well: no buffer changed in
-                # [tick, jump), so the bus cycle at ``jump`` is one
-                # more orbit stall, and the due edges then execute
-                # inside this event (reference order: buses first,
-                # then due columns).  Only when the jump hits the
-                # window limit does the event stop short of an edge.
-                # Parked columns owe one comm-stall edge per skipped
-                # edge, credited columns burn their pre-executed
-                # edges, and no other column has an edge before the
-                # jump.
+                # The freeze proof holds through the DOU steps AT ``jump``
+                # too: no buffer changed in [tick, jump), so the bus cycle
+                # at ``jump`` is one more orbit stall, and the due edges
+                # then execute inside this event (reference order: buses
+                # first, then due columns).  Only a jump to the window
+                # limit stops short of an edge.  Parked columns owe one
+                # comm-stall edge per skipped edge, credited columns burn
+                # their pre-executed edges, and no other column has an
+                # edge before the jump.
                 run_edge = jump < limit
                 end = jump + 1 if run_edge else jump
                 span = end - tick
@@ -1919,11 +1904,26 @@ class CompiledEngine(Engine):
                 caps,
             )
             fp = _FP_INTERN.get(key)
+            self._lock_warm = fp is not None
             if fp is None:
                 fp = len(_FP_INTERN)
                 _FP_INTERN[key] = fp
             self._lock_fp = fp
         return fp
+
+    def _hunt_scope(self, ticks: int) -> str:
+        """Whether a dense window of ``ticks`` may hunt for rounds.
+
+        ``"long"``: at least :data:`LOCKSTEP_HUNT_TICKS`, room for a
+        built round to replay.  ``"warm"``: shorter, but an earlier
+        engine in the process simulated this chip structure, so its
+        counts and shared plans help.  ``"cold"``: neither; the window
+        takes no safepoint (docs/engines.md gives the measurements).
+        """
+        self._lock_fingerprint()
+        if ticks >= LOCKSTEP_HUNT_TICKS:
+            return "long"
+        return "warm" if self._lock_warm else "cold"
 
     def _lock_paths(self) -> dict:
         """``id(obj) -> structural path`` over every bindable object."""

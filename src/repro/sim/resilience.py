@@ -79,8 +79,10 @@ class FaultPolicy:
     """The supervision knobs for one batched run.
 
     ``max_retries``
-        Additional attempts after the first (so a job runs at most
-        ``1 + max_retries`` times).
+        Additional attempts after the first for a job whose worker
+        crashed or timed out (so it runs at most ``1 + max_retries``
+        times).  A job that raised settles ``failed`` after one
+        attempt: the same input fails the same way again.
     ``timeout_s``
         Per-job wall-clock budget; ``None`` disables timeouts.
     ``backoff_base_s`` / ``backoff_factor`` / ``backoff_max_s``
@@ -423,7 +425,7 @@ class _Supervisor:
             }[status],
             job, reason=payload,
         )
-        if job.attempts <= self.policy.max_retries:
+        if status != "failed" and job.attempts <= self.policy.max_retries:
             delay = backoff_delay(self.policy, job.key, job.attempts)
             _COUNTERS["retries"] += 1
             self._event("job_retry", job, backoff_s=round(delay, 6))

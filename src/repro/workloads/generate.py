@@ -50,6 +50,7 @@ __all__ = [
     "APPS",
     "TOPOLOGIES",
     "GeneratedScenario",
+    "case_digest",
     "check_case",
     "check_invariants",
     "generate_scenario",
@@ -360,6 +361,31 @@ def generate_suite(seed: int, count: int) -> tuple:
     return tuple(
         generate_scenario(seed, index) for index in range(count)
     )
+
+
+def case_digest(seed: int, index: int, engine: str = "compiled") -> str:
+    """SHA-256 of one generated case's governed record on ``engine``.
+
+    Hashes the ``repr`` of what a governed run is checked on: the
+    statistics, epoch timeline and transitions, the deadline misses,
+    the gate segments and rail wakes, and the ledger energy rounded to
+    3 decimals as the evaluation artifacts round it (the ledger sums
+    floats with the builtin ``sum``, whose rounding changed in Python
+    3.12).  ``tests/workloads/corpus_digests.json`` pins these per
+    ``(seed, index)``; ``tools/corpus_digests.py`` checks and rewrites
+    it.
+    """
+    generated = generate_scenario(seed, index)
+    result = run_pipeline(
+        generated.scenario, generated.governor, engine=engine
+    )
+    run = result.run
+    record = (
+        run.stats, run.timeline, run.transitions,
+        result.deadline_misses, result.gate_segments, result.wake_count,
+        round(result.energy_nj, 3),
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
 def _fingerprint(stats) -> str:

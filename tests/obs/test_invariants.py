@@ -25,6 +25,7 @@ from repro.obs import (
     JsonlSink,
     subscribed,
 )
+from repro.sim import engine as engine_module
 
 
 @pytest.fixture(autouse=True)
@@ -111,13 +112,18 @@ def test_inactive_bus_overhead_under_two_percent(key):
 
 
 @pytest.mark.parametrize("key", ["ddc_pipeline", "governed_burst"])
-def test_exporter_output_is_deterministic(key):
-    # One untraced run first: the process-wide lockstep plan caches
-    # mean the very first run records rounds later runs replay, so
-    # only runs after the warm-up emit identical event sequences.
-    _run(key)
+def test_exporter_output_is_deterministic(key, monkeypatch):
+    # The process-wide lockstep tables (structures seen, recurrence
+    # counts, shared plans, round code) make a run's events depend on
+    # the runs before it, so each traced run starts from the same
+    # tables: emptied, then one untraced run that the traced run's
+    # windows find warm.
     payloads = []
     for _ in range(2):
+        for name in ("_FP_INTERN", "_LOCK_RECURRENCES",
+                     "_SHARED_LOCK_PLANS", "_ROUND_CODE_CACHE"):
+            monkeypatch.setattr(engine_module, name, {})
+        _run(key)
         builder = ChromeTraceBuilder()
         with subscribed(builder):
             builder.process(key)

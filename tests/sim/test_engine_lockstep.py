@@ -18,6 +18,10 @@ tier:
 * a plan built by one engine is rebound through the shared
   cross-engine cache by a structurally identical fresh engine, which
   must produce the same statistics without ever recording;
+* a window shorter than ``LOCKSTEP_HUNT_TICKS`` hunts only on a chip
+  structure an earlier engine simulated (a first-seen governed run
+  takes no safepoint), and phase-boundary safepoints stride whole
+  hyperperiods at least ``LOCKSTEP_PHASE_TICKS`` apart;
 * a recorder arms only once a signature has recurred
   ``LOCKSTEP_ARM_RECURRENCES`` times on a chip structure, so a short
   regime compiles nothing until re-runs of the same structure have
@@ -40,6 +44,7 @@ import pytest
 
 from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
+from repro.arch.dou import Dou
 from repro.arch.dou_compiler import Transfer, compile_schedule
 from repro.control import Governor, TransitionModel, run_governed
 from repro.isa.assembler import assemble
@@ -168,7 +173,11 @@ def perturbed_differential(build, perturb, window: int) -> set:
     """Reference and compiled engines advanced window by window, the
     same perturbation applied to both chips between windows; every
     statistic must agree after every window.  Returns the
-    ``(event, reason)`` pairs the lockstep instants reported."""
+    ``(event, reason)`` pairs the lockstep instants reported.
+
+    An earlier engine simulates the structure first: windows this
+    short hunt for rounds only on a structure seen before."""
+    CompiledEngine(build()).advance(window)
     chips = (build(), build())
     engines = (ReferenceEngine(chips[0]), CompiledEngine(chips[1]))
     reasons = set()
@@ -256,6 +265,111 @@ def test_lockstep_rounds_engage_on_steady_stream():
 
 
 # ----------------------------------------------------------------------
+# hunting scope: short windows hunt only on a structure seen before
+# ----------------------------------------------------------------------
+def counting_signatures(monkeypatch) -> list:
+    """Ticks of every lockstep safepoint signature taken."""
+    ticks = []
+    original = CompiledEngine._lock_signature
+
+    def counting(self, tick, period):
+        ticks.append(tick)
+        return original(self, tick, period)
+
+    monkeypatch.setattr(CompiledEngine, "_lock_signature", counting)
+    return ticks
+
+
+def hunt_sink() -> tuple:
+    """``(hunts, sink)``: the sink collects the ``hunt`` arg of every
+    dense window span into ``hunts``."""
+    hunts = []
+
+    def collect(event):
+        if event.name == "window:dense":
+            hunts.append(event.args["hunt"])
+
+    return hunts, collect
+
+
+def governed_stream(engine):
+    """The streaming pair under a steady governor in 512-tick epochs,
+    plus the ``hunt`` arg of every dense window span."""
+    chip = build_streaming_pair()
+    hunts, collect = hunt_sink()
+    if engine != "reference":
+        engine = CompiledEngine(chip)
+    with subscribed(collect):
+        run = run_governed(
+            chip, EveryEpochToggler([(4, 2)]), engine=engine,
+            epoch_ticks=512, max_ticks=100_000,
+        )
+    return run, engine, hunts
+
+
+@pytest.mark.usefixtures("fresh_lockstep_tables")
+def test_first_seen_governed_run_hunts_nothing(monkeypatch, round_compiles):
+    """A structure's first engine takes no safepoint in its epochs; the
+    next engine of the same structure hunts them and replays rounds."""
+    reference, _, _ = governed_stream("reference")
+    signatures = counting_signatures(monkeypatch)
+    first, engine, hunts = governed_stream("compiled")
+    assert (first.stats, first.timeline) == (
+        reference.stats, reference.timeline,
+    )
+    assert signatures == [] and round_compiles == []
+    assert engine.profile_snapshot()["lockstep_batches"] == 0
+    # Every epoch is cold; the closing run() window spans no tick.
+    assert hunts[:-1] == ["cold"] * (len(hunts) - 1)
+    assert hunts[-1] == "long"
+
+    second, engine, hunts = governed_stream("compiled")
+    assert (second.stats, second.timeline) == (
+        reference.stats, reference.timeline,
+    )
+    assert signatures and round_compiles
+    assert engine.profile_snapshot()["lockstep_batches"] > 0
+    assert set(hunts[:-1]) == {"warm"}
+
+
+@pytest.mark.usefixtures("fresh_lockstep_tables")
+def test_first_seen_long_run_still_builds_rounds(round_compiles):
+    """A plain run() window is ``max_ticks`` long: it hunts on a
+    structure no engine simulated before, builds rounds and replays
+    them."""
+    reference = Simulator(
+        build_streaming_pair(), engine="reference"
+    ).run(max_ticks=100_000)
+    hunts, collect = hunt_sink()
+    engine = CompiledEngine(build_streaming_pair())
+    with subscribed(collect):
+        assert engine.run(max_ticks=100_000) == reference
+    assert hunts == ["long"]
+    assert round_compiles and engine_module._SHARED_LOCK_PLANS
+    assert engine.profile_snapshot()["lockstep_batches"] > 0
+
+
+def test_phase_safepoints_stride_whole_hyperperiods(monkeypatch):
+    """A hunting window's phase-boundary safepoints fall every
+    ceil(256 / 24) = 11 hyperperiods of 24 ticks.
+
+    With no orbit batch (no DOU ever reports a no-progress orbit) and
+    no round ever built, every safepoint is a phase boundary and the
+    window keeps hunting to its end.
+    """
+    monkeypatch.setattr(Dou, "stall_orbit", lambda self: None)
+    monkeypatch.setattr(engine_module, "_build_lock_plan", lambda *a: None)
+    signatures = counting_signatures(monkeypatch)
+    reference = Simulator(
+        build_streaming_pair(dividers=(8, 6)), engine="reference"
+    ).run(max_ticks=100_000)
+    engine = CompiledEngine(build_streaming_pair(dividers=(8, 6)))
+    assert engine.run(max_ticks=100_000) == reference
+    assert signatures[0] == 0 and len(signatures) > 3
+    assert {b - a for a, b in zip(signatures, signatures[1:])} == {264}
+
+
+# ----------------------------------------------------------------------
 # retune mid-lap: plans invalidate and rebuild across divider tuples
 # ----------------------------------------------------------------------
 @pytest.mark.usefixtures("fresh_lockstep_tables")
@@ -270,6 +384,14 @@ def test_every_epoch_retune_differential():
     patterns = [(4, 2), (8, 4), (2, 2)]
     governed = {}
     engines = {}
+    # Epochs this short hunt only on a structure seen before: one
+    # earlier run of it lets the measured engine's epochs hunt.
+    run_governed(
+        build_streaming_pair(samples=192), EveryEpochToggler(patterns),
+        engine="compiled", epoch_ticks=128,
+        transition_model=TransitionModel(relock_us=0.01),
+        max_ticks=400_000,
+    )
     for engine_name in ("reference", "compiled"):
         chip = build_streaming_pair(samples=192)
         driver = (
@@ -475,10 +597,7 @@ def test_lockstep_build_instant_per_built_plan():
     engine = CompiledEngine(build_streaming_pair())
     with subscribed(collect):
         engine.run(max_ticks=100_000)
-    plans = [
-        plan for plan in engine._lock_plans.values()
-        if plan is not engine_module._PROBE_MISS
-    ]
+    plans = list(engine._lock_plans.values())
     assert builds
     assert sorted(
         (event.args["round_ticks"], event.args["source_bytes"])
@@ -575,7 +694,7 @@ def test_entered_round_compiles_once_across_engines(
     assert first.run(max_ticks=100_000) == reference
     entered = [
         plan for plan in first._lock_plans.values()
-        if plan is not engine_module._PROBE_MISS and plan.fn is not None
+        if plan.fn is not None
     ]
     assert entered
     assert len(round_compiles) == len({plan.source for plan in entered})
@@ -598,7 +717,7 @@ def test_entered_round_compiles_once_across_engines(
     ((8, 4, 8), 96, 60, {"edge", "divergence"}),
 ])
 def test_mid_round_aborts_settle_deferred_writes(
-    dividers, window, words, reasons,
+    monkeypatch, dividers, window, words, reasons,
 ):
     """Rounds that stop part-way owe exactly the writes they deferred.
 
@@ -608,7 +727,10 @@ def test_mid_round_aborts_settle_deferred_writes(
     Feeding the stream a varying backlog between windows makes rounds
     stop at entry, at a clock edge, and at a diverging lap; every
     statistic must match the reference engine after every window.
+    Phase safepoints come every hyperperiod here, so replays start
+    while the backlog still holds words and it can run dry mid-round.
     """
+    monkeypatch.setattr(engine_module, "LOCKSTEP_PHASE_TICKS", 1)
     rng = random.Random(1)
 
     def perturb(index, chips):
@@ -623,7 +745,7 @@ def test_mid_round_aborts_settle_deferred_writes(
 
 
 @pytest.mark.usefixtures("fresh_lockstep_tables")
-def test_abort_instants_name_the_failed_check():
+def test_abort_instants_name_the_failed_check(monkeypatch):
     """``lockstep_abort`` and ``lockstep_replay`` say why a round
     stopped: a forced entry failure reports its entry check at item 0,
     a forced mid-round divergence reports ``divergence`` at the round
@@ -656,6 +778,9 @@ def test_abort_instants_name_the_failed_check():
 
     events.clear()
     rng = random.Random(1)
+    # Phase safepoints every hyperperiod: replays then start while the
+    # fed backlog still holds words, so it runs dry mid-round.
+    monkeypatch.setattr(engine_module, "LOCKSTEP_PHASE_TICKS", 1)
 
     def feed(index, chips):
         words_now = 60 if index % 3 else rng.randrange(60)
@@ -681,10 +806,7 @@ def test_generated_round_shape():
     """
     engine = CompiledEngine(build_streaming_pair())
     engine.run(max_ticks=100_000)
-    sources = [
-        plan.source for plan in engine._lock_plans.values()
-        if plan is not engine_module._PROBE_MISS
-    ]
+    sources = [plan.source for plan in engine._lock_plans.values()]
     assert sources
     counter = re.compile(
         r"^\s*(\w+)\.(cycles|blocked_cycles|words_moved|"

@@ -154,10 +154,12 @@ def test_job_failing_on_both_engines_settles_failed():
     assert outcomes[0].status == "failed"
     assert not outcomes[0].ok
     assert outcomes[0].stats is None
-    assert outcomes[0].attempts == 2
+    # Deterministic: the failing attempt is not retried.
+    assert outcomes[0].attempts == 1
     assert "exceeded 300" in outcomes[0].error
     assert "fallback also failed" in outcomes[0].error
-    assert outcomes_snapshot()["failed"] == 2
+    assert outcomes_snapshot()["failed"] == 1
+    assert outcomes_snapshot()["retries"] == 0
 
 
 def test_serial_timeout_is_posthoc_and_retried():
