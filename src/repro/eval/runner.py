@@ -308,9 +308,10 @@ def main(argv: list | None = None) -> None:
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="retry each failed/timed-out/crashed job up to N times "
+        help="retry each timed-out or crashed job up to N times "
              "with deterministic exponential backoff (default 2; "
-             "applies to --measured, --fuzz and --jobs renders)",
+             "applies to --measured, --fuzz and --jobs renders); a "
+             "job that raises settles failed after one attempt",
     )
     parser.add_argument(
         "--keep-going", action="store_true",

@@ -214,8 +214,13 @@ LOCKSTEP_FAILURES = 8
 LOCKSTEP_PLAN_CAP = 256
 
 #: Recurrences of a safepoint signature, counted per chip structure
-#: across every engine in the process, before a recorder arms for it
-#: (docs/engines.md gives the measurements behind 16).
+#: across every engine in the process, before a recorder arms for it.
+#: On the cold governed corpus (CPython 3.11, 2-vCPU 2.1 GHz Xeon VM)
+#: a round build costs a median 0.32 ms per tick of its period, as
+#: much as dense-stepping the regime for about 40 rounds at 8.2 us
+#: per tick, and arming at the first recurrence built 456 plans of
+#: which 168 never completed a replay.  docs/engines.md gives the
+#: measurement and the sweep behind 16.
 LOCKSTEP_ARM_RECURRENCES = 16
 
 #: Dense windows this long hunt for lockstep rounds on any chip;
@@ -280,8 +285,9 @@ class _RoundPlan:
         self.binds = binds
         self.fn = None
         self.failures = 0
-        #: key of this plan in the shared plan cache (None while
-        #: unshared), to evict it when the plan retires for failures.
+        #: key of this plan's entry in the cross-engine shared plan
+        #: cache (None while unshared); used to evict the shared copy
+        #: when the local plan is retired for repeated failures.
         self.gkey = None
 
     def enter(self, tick, credits):
@@ -1429,22 +1435,33 @@ class CompiledEngine(Engine):
           jump).
 
         On top of both, the loop may hunt for a recurring **lockstep
-        round**: one anchor signature (column pcs, pending/loop
-        structure, credits, DOU states, hyperperiod phase) seen twice,
-        whole hyperperiods apart.  :meth:`_hunt_scope` decides once,
-        as the window opens, whether it hunts; one that does not takes
-        no safepoint.  The safepoints are orbit batches and phase
-        boundaries whole hyperperiods at least
-        :data:`LOCKSTEP_PHASE_TICKS` apart.  A signature without a
-        plan probes the plans other engines of the structure built
-        (:meth:`_lock_probe`); otherwise each recurrence counts toward
-        :data:`LOCKSTEP_ARM_RECURRENCES` per structure
-        (:meth:`_lock_recurred`).  Reaching it arms a
-        :class:`_LockRecorder` that captures one round richly, and the
-        next recurrence builds a :class:`_RoundPlan` whose replays
-        (:meth:`_lock_replay`) settle whole exchange rounds per call,
-        entry-validated, with irregular primitives validated live.
-        Any divergence aborts back here with the machine state real.
+        round**: the same anchor signature (column pcs, pending/loop
+        structure, credits, DOU states, hyperperiod phase) seen at two
+        batch-event safepoints a whole number of hyperperiods apart.
+        :meth:`_hunt_scope` decides once, as the window opens, whether
+        it hunts; a window that does not takes no safepoint, since a
+        short window of a chip structure no engine has simulated
+        before never repays the signatures and the round builds.  A
+        hunting window's phase-boundary safepoints fall only every
+        ceil(:data:`LOCKSTEP_PHASE_TICKS` / period) hyperperiods.
+        A signature without a plan here first probes the plans other
+        engines of the same chip structure built
+        (:meth:`_lock_probe`), so a structure that has earned its
+        rounds replays from the first sighting.  Otherwise detection
+        is gated and two-phase, so short regimes build nothing and the
+        steady state pays nothing: every recurrence adds one to the
+        signature's process-wide count for this structure
+        (:meth:`_lock_recurred`); the recurrence that brings it to
+        :data:`LOCKSTEP_ARM_RECURRENCES` *arms* a
+        :class:`_LockRecorder` that captures exactly one round richly
+        (occupancy snapshots, per-DOU stat deltas, comm predicate
+        inputs); the next recurrence builds the capture into a
+        :class:`_RoundPlan` whose replays (:meth:`_lock_replay`)
+        settle whole producer/consumer exchange rounds per iteration
+        - entry-validated by credit/counter equality and per-buffer
+        occupancy windows, with only the genuinely irregular
+        primitives executed and self-validated live.  Any divergence
+        aborts back here with the machine state real and consistent.
         """
         chip = self.chip
         columns = chip.columns
@@ -1470,9 +1487,14 @@ class CompiledEngine(Engine):
         live = sum(not column.halted for column in columns)
         tick = start
         if tick < max_gate:
-            # Relock-gated prefix: tick-accurate gate checks, with the
-            # steady state's orbit batching (a relock gate only pushes
-            # a column's next executable edge out to its expiry).
+            # Relock-gated prefix: tick-accurate gate checks, with
+            # the same orbit batching as the steady state.  Once
+            # every stepped DOU parks in a no-progress orbit, no
+            # buffer can change before the next *executable* column
+            # edge - and a relock gate pushes each column's next
+            # executable edge out to its gate expiry - so the whole
+            # gated stretch settles arithmetically instead of
+            # paying per-tick gate checks.
             gate_end = min(limit, max_gate)
             gate_moved = 0
             while live and tick < gate_end:
@@ -1538,13 +1560,18 @@ class CompiledEngine(Engine):
                 batch = None
             if hunting and (batch is not None
                             or offset == 0 and tick % stride == 0):
-                # Lockstep safepoint: replay a cached round for this
-                # anchor, build one from an armed capture, or count a
-                # recurrence (arming a capture at
-                # LOCKSTEP_ARM_RECURRENCES).  Phase boundaries are
-                # safepoints too: a periodic *busy* regime (a word
-                # moves every tick) never orbit-batches, but recurs
-                # at phase 0.
+                # Lockstep safepoint: replay a cached round for
+                # this anchor, build one from an armed capture,
+                # or count a recurrence and arm a capture once the
+                # signature has recurred LOCKSTEP_ARM_RECURRENCES
+                # times on this chip structure.
+                # Attempted at every no-progress orbit batch AND at
+                # strided hyperperiod phase boundaries: a periodic
+                # *busy* regime (words moving every tick, so no
+                # no-progress anchor ever appears) still recurs at
+                # phase 0, and its recorded round replays as lap
+                # applications and validated real steps with all
+                # the per-tick classification machinery skipped.
                 sig = self._lock_signature(tick, period)
                 lplan = lock_plans.get(sig)
                 if lplan is None and _SHARED_LOCK_PLANS:
@@ -1622,15 +1649,17 @@ class CompiledEngine(Engine):
                     )
                     if due < jump:
                         jump = due
-                # The freeze proof holds through the DOU steps AT ``jump``
-                # too: no buffer changed in [tick, jump), so the bus cycle
-                # at ``jump`` is one more orbit stall, and the due edges
-                # then execute inside this event (reference order: buses
-                # first, then due columns).  Only a jump to the window
-                # limit stops short of an edge.  Parked columns owe one
-                # comm-stall edge per skipped edge, credited columns burn
-                # their pre-executed edges, and no other column has an
-                # edge before the jump.
+                # The freeze proof holds through the DOU steps AT
+                # ``jump`` as well: no buffer changed in
+                # [tick, jump), so the bus cycle at ``jump`` is one
+                # more orbit stall, and the due edges then execute
+                # inside this event (reference order: buses first,
+                # then due columns).  Only when the jump hits the
+                # window limit does the event stop short of an edge.
+                # Parked columns owe one comm-stall edge per skipped
+                # edge, credited columns burn their pre-executed
+                # edges, and no other column has an edge before the
+                # jump.
                 run_edge = jump < limit
                 end = jump + 1 if run_edge else jump
                 span = end - tick
