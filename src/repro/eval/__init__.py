@@ -18,10 +18,8 @@ from repro.eval import (  # noqa: F401
     table3,
     table4,
 )
-from repro.eval.runner import run_all
 
 __all__ = [
     "table1", "table2", "table3", "table4",
     "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "run_all",
 ]

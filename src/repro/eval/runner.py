@@ -8,7 +8,7 @@ Options::
     python -m repro.eval.runner --jobs 4             # render in parallel
     python -m repro.eval.runner --measured           # sim-driven power
     python -m repro.eval.runner --dvfs               # governor eval
-    python -m repro.eval.runner --coordinated        # pipeline eval
+    python -m repro.eval.runner --coordinated -j 0   # pipeline eval
     python -m repro.eval.runner --engines --profile  # engine bench
     python -m repro.eval.runner --fuzz --fuzz-seed 23  # property sweep
     python -m repro.eval.runner --engines --trace trace.json  # timeline
@@ -24,17 +24,15 @@ and the Figure 8 sweep) from simulated activity batched through
 artifact recording the measured-vs-analytical deltas and the
 energy-ledger conservation audit.
 
-``--dvfs`` runs the bursty scenarios under the runtime-DVFS
-governors (:mod:`repro.eval.dvfs`), asserts the
-governors-beat-static-at-zero-misses contract, and emits
-``BENCH_dvfs.json``.  ``BENCH_SMOKE=1`` shortens the traces for CI.
-
-``--coordinated`` runs the multi-column pipeline scenarios under
-static / independent / coordinated governance
-(:mod:`repro.eval.coordinated`), asserts the
-coordinated-beats-independent-beats-static contract with every
-governed run bit-identical across engines, and emits
-``BENCH_coordinated.json``.  ``BENCH_SMOKE=1`` shortens the traces.
+``--dvfs`` and ``--coordinated`` are the two suites of
+:mod:`repro.eval.governed`: the bursty one-column scenarios under the
+runtime-DVFS governors, and the multi-column pipelines under static /
+independent / coordinated governance.  Each runs every (scenario,
+policy) pair as one supervised job on both engines, asserts its
+energy-ordering contract at zero misses with every governed run
+bit-identical across engines, and emits ``BENCH_dvfs.json`` or
+``BENCH_coordinated.json``; ``--jobs`` fans the pairs across
+workers.  ``BENCH_SMOKE=1`` shortens the traces for CI.
 
 ``--fuzz`` sweeps one seed of the generative scenario engine
 (:mod:`repro.workloads.generate`) through the invariant suite -
@@ -63,7 +61,7 @@ deterministic backoff, per-job timeouts, worker crash containment,
 compiled-to-reference engine fallback - see ``docs/robustness.md``).
 ``--job-timeout`` / ``--retries`` / ``--keep-going`` install the
 process-default :class:`~repro.sim.resilience.FaultPolicy`; they
-apply to ``--measured``, ``--fuzz`` and ``--jobs`` renders.
+apply to every mode but ``--engines``, which runs no jobs.
 
 Every BENCH artifact carries a ``telemetry`` block - event counts by
 kind and category from the run's bus subscription plus the
@@ -244,7 +242,9 @@ def main(argv: list | None = None) -> None:
     )
     parser.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
-        help="render N experiments in parallel (0 = one per CPU)",
+        help="run N supervised jobs in parallel: experiment renders, "
+             "--fuzz cases, --dvfs and --coordinated pairs "
+             "(0 = one per CPU)",
     )
     parser.add_argument(
         "--measured", action="store_true",
@@ -303,24 +303,25 @@ def main(argv: list | None = None) -> None:
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
         help="per-job wall-clock budget; over-budget workers are "
-             "terminated and the job retried (applies to --measured, "
-             "--fuzz and --jobs renders)",
+             "terminated and the job retried (applies to every mode "
+             "but --engines)",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="retry each timed-out or crashed job up to N times "
              "with deterministic exponential backoff (default 2; "
-             "applies to --measured, --fuzz and --jobs renders); a "
-             "job that raises settles failed after one attempt",
+             "applies to every mode but --engines); a job that "
+             "raises settles failed after one attempt",
     )
     parser.add_argument(
         "--keep-going", action="store_true",
         help="collect-partial mode: supervise every job to a typed "
              "outcome before failing instead of aborting the sweep on "
-             "the first terminal failure (applies to --measured, "
-             "--fuzz and --jobs renders)",
+             "the first terminal failure (applies to every mode but "
+             "--engines)",
     )
     args = parser.parse_args(argv)
+    jobs = None if args.jobs == 0 else args.jobs
     reset_outcome_counters()  # each artifact tallies its own run
     if (
         args.job_timeout is not None or args.retries is not None
@@ -364,32 +365,10 @@ def main(argv: list | None = None) -> None:
             else fuzz.DEFAULT_SEED
         sink = CountingSink()
         with subscribed(sink):
-            rows = fuzz.evaluate(
-                seed, args.fuzz_count,
-                processes=None if args.jobs == 0 else args.jobs,
-            )
+            rows = fuzz.evaluate(seed, args.fuzz_count, processes=jobs)
         emit_artifact(
             fuzz.bench_payload(rows, seed), args.output,
             renders=[fuzz.render(rows, seed)],
-            telemetry=sink.summary(),
-        )
-        return
-    if args.coordinated:
-        from repro.eval import coordinated
-        from repro.obs import CountingSink, subscribed
-
-        if args.experiments:
-            parser.error("--coordinated runs its own scenarios; drop "
-                         "--experiment")
-        if args.jobs != 1:
-            parser.error("--coordinated evaluates scenarios "
-                         "sequentially; --jobs does not apply")
-        sink = CountingSink()
-        with subscribed(sink):
-            evaluations = coordinated.evaluate_all()
-        emit_artifact(
-            coordinated.bench_payload(evaluations), args.output,
-            renders=[coordinated.render(evaluations)],
             telemetry=sink.summary(),
         )
         return
@@ -430,22 +409,20 @@ def main(argv: list | None = None) -> None:
                 f"speedup below recorded floor: {floors}"
             )
         return
-    if args.dvfs:
-        from repro.eval import dvfs
+    if args.dvfs or args.coordinated:
+        from repro.eval import governed
         from repro.obs import CountingSink, subscribed
 
+        name = "dvfs" if args.dvfs else "coordinated"
         if args.experiments:
-            parser.error("--dvfs runs its own scenarios; drop "
-                         "--experiment")
-        if args.jobs != 1:
-            parser.error("--dvfs evaluates scenarios sequentially; "
-                         "--jobs does not apply")
+            parser.error(f"--{name} runs its own scenarios; drop "
+                         f"--experiment")
         sink = CountingSink()
         with subscribed(sink):
-            evaluations = dvfs.evaluate_all()
+            evaluations = governed.evaluate(name, processes=jobs)
         emit_artifact(
-            dvfs.bench_payload(evaluations), args.output,
-            renders=[dvfs.render(evaluations)],
+            governed.bench_payload(name, evaluations), args.output,
+            renders=[governed.render(evaluations)],
             telemetry=sink.summary(),
         )
         return
@@ -482,7 +459,6 @@ def main(argv: list | None = None) -> None:
             telemetry=sink.summary(),
         )
         return
-    jobs = None if args.jobs == 0 else args.jobs
     outputs = run_all(args.experiments, jobs=jobs)
     if args.output:
         for target in write_results(outputs, args.output):

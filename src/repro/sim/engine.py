@@ -37,6 +37,7 @@ Engines only require the :class:`~repro.arch.chip.Chip` duck type:
 
 from __future__ import annotations
 
+from itertools import count
 from time import perf_counter
 from typing import Callable
 
@@ -1023,9 +1024,11 @@ _SHARED_LOCK_CAP = 1024
 _LOCK_RECURRENCES: dict = {}
 
 # Structural fingerprints interned to small ints so shared-cache keys
-# stay cheap to hash.  Every engine interns its own at its first dense
-# window, so membership says an earlier engine simulated the structure.
+# stay cheap to hash; ints never repeat, so a cached one cannot alias
+# another structure's plans.  Every engine interns its own at its first
+# dense window, so membership says an earlier engine simulated it.
 _FP_INTERN: dict = {}
+_FP_NEXT = count()
 
 
 class CompiledEngine(Engine):
@@ -1935,8 +1938,9 @@ class CompiledEngine(Engine):
             fp = _FP_INTERN.get(key)
             self._lock_warm = fp is not None
             if fp is None:
-                fp = len(_FP_INTERN)
-                _FP_INTERN[key] = fp
+                if len(_FP_INTERN) >= _SHARED_LOCK_CAP:
+                    _FP_INTERN.clear()
+                fp = _FP_INTERN[key] = next(_FP_NEXT)
             self._lock_fp = fp
         return fp
 

@@ -543,6 +543,17 @@ class PipelineScenario:
 # ----------------------------------------------------------------------
 # scenario factories
 # ----------------------------------------------------------------------
+def _force_peak(loads: list, rng, peak: int) -> tuple:
+    """``loads`` with one frame of its second half raised to ``peak``.
+
+    An empty trace stays empty, so the scenario's own no-frames check
+    reports it instead of numpy's empty-range error.
+    """
+    if loads:
+        loads[int(rng.integers(len(loads) // 2, len(loads)))] = peak
+    return tuple(loads)
+
+
 def _band_loads(frames: int, seed: int) -> tuple:
     """A DDC channel-bandwidth trace: sticky rate with reconfigs."""
     rng = np.random.default_rng(seed)
@@ -555,8 +566,7 @@ def _band_loads(frames: int, seed: int) -> tuple:
             level = min(len(levels) - 1, max(0, level + step))
         loads.append(levels[level])
     # Exercise the worst case at least once.
-    loads[int(rng.integers(frames // 2, frames))] = levels[-1]
-    return tuple(loads)
+    return _force_peak(loads, rng, levels[-1])
 
 
 def _mcs_loads(frames: int, seed: int) -> tuple:
@@ -572,8 +582,7 @@ def _mcs_loads(frames: int, seed: int) -> tuple:
             level = min(len(levels) - 1, max(0, level + step))
         loads.append(levels[level])
     # Guarantee the trace really exercises the worst case once.
-    loads[int(rng.integers(frames // 2, frames))] = levels[-1]
-    return tuple(loads)
+    return _force_peak(loads, rng, levels[-1])
 
 
 def ddc_pipeline_scenario(
@@ -631,8 +640,7 @@ def _packet_loads(frames: int, seed: int) -> tuple:
         else:  # beacon / keep-alive traffic
             loads.append(int(rng.integers(2, 5)) * 8)
     # Exercise the worst case at least once.
-    loads[int(rng.integers(frames // 2, frames))] = 128
-    return tuple(loads)
+    return _force_peak(loads, rng, 128)
 
 
 def aes_pipeline_scenario(
@@ -674,8 +682,7 @@ def _motion_loads(frames: int, seed: int) -> tuple:
             step = 1 if rng.random() < 0.55 else -1
             level = min(len(levels) - 1, max(0, level + step))
         loads.append(levels[level])
-    loads[int(rng.integers(frames // 2, frames))] = levels[-1]
-    return tuple(loads)
+    return _force_peak(loads, rng, levels[-1])
 
 
 def mpeg4_pipeline_scenario(
@@ -716,8 +723,7 @@ def _audio_loads(frames: int, seed: int) -> tuple:
             step = 1 if rng.random() < 0.5 else -1
             level = min(len(levels) - 1, max(0, level + step))
         loads.append(levels[level])
-    loads[int(rng.integers(frames // 2, frames))] = levels[-1]
-    return tuple(loads)
+    return _force_peak(loads, rng, levels[-1])
 
 
 def stereo_pipeline_scenario(

@@ -43,6 +43,7 @@ from repro.workloads.coordinated import (
     PIPELINE_GOVERNORS,
     PipelineScenario,
     PipelineStage,
+    _force_peak,
     run_pipeline,
 )
 
@@ -57,8 +58,8 @@ __all__ = [
     "generate_suite",
 ]
 
-#: Conservation tolerance asserted per generated run (matches the
-#: coordinated evaluation's contract).
+#: Conservation tolerance asserted per generated run and by the
+#: governed evaluations' contract (:mod:`repro.eval.governed`).
 CONSERVATION_TOLERANCE = 1e-9
 
 #: Per-app kernel pools: (stage name, min work, max work) in pipeline
@@ -281,8 +282,7 @@ def _sample_loads(
             step = 1 if rng.random() < 0.5 else -1
             index = min(len(levels) - 1, max(0, index + step))
         loads.append(levels[index])
-    loads[int(rng.integers(frames // 2, frames))] = levels[-1]
-    return tuple(loads)
+    return _force_peak(loads, rng, levels[-1])
 
 
 def generate_scenario(seed: int, index: int) -> GeneratedScenario:

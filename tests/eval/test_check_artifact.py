@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval import fuzz
+from repro.eval import fuzz, governed
 from repro.eval.engines import ENGAGED_TIERS, PROFILE_COUNTERS, WORKLOADS
 from repro.sim.resilience import outcomes_snapshot
 from repro.workloads.generate import APPS, TOPOLOGIES
@@ -69,6 +69,16 @@ def _bench(artifact):
     return lambda: {"artifact": artifact, "outcomes": _clean()}
 
 
+def _governed(name):
+    """A passing governed payload: one scenario, one job per policy."""
+    policies = governed.SUITES[name].policies
+    return lambda: {
+        "artifact": f"BENCH_{name}",
+        "scenarios": {"s": {"governors": dict.fromkeys(policies, {})}},
+        "outcomes": {**_clean(), "ok": len(policies)},
+    }
+
+
 def put(*path):
     """A mutation setting ``payload[path[0]]...[path[-2]] = path[-1]``."""
     *keys, value = path
@@ -106,8 +116,8 @@ PASSING = {
                        "--require-track", "governor"]),
     "BENCH_engine": (_engine, []),
     "BENCH_fuzz": (_fuzz, ["--min-cases", "15"]),
-    "BENCH_dvfs": (_bench("BENCH_dvfs"), []),
-    "BENCH_coordinated": (_bench("BENCH_coordinated"), []),
+    "BENCH_dvfs": (_governed("dvfs"), []),
+    "BENCH_coordinated": (_governed("coordinated"), []),
     "BENCH_power": (_bench("BENCH_power"), []),
 }
 
@@ -164,8 +174,18 @@ RULES = [
     _case("fuzz-tolerance-stated", _fuzz,
           put("conservation_tolerance", "1e-9"),
           "conservation_tolerance must state"),
+    # governed: repro.eval.governed.check_bench
+    _case("governed-scenarios", _governed("dvfs"), put("scenarios", {}),
+          "scenarios must be a non-empty mapping"),
+    _case("governed-policies", _governed("coordinated"),
+          drop("scenarios", "s", "governors", "independent"),
+          "scenarios['s'] must list the policies"),
+    _case("governed-outcomes-ok", _governed("dvfs"),
+          put("outcomes", "ok", 2),
+          "outcomes['ok'] must count the 3 supervised (scenario, policy) "
+          "jobs"),
     # outcomes: repro.sim.resilience.check_outcomes, on every BENCH_*
-    _case("outcomes-missing", _bench("BENCH_dvfs"), drop("outcomes"),
+    _case("outcomes-missing", _governed("dvfs"), drop("outcomes"),
           "no 'outcomes' mapping"),
     _case("outcomes-missing-engine", _engine, drop("outcomes"),
           "no 'outcomes' mapping"),
@@ -173,14 +193,14 @@ RULES = [
           "no 'outcomes' mapping"),
     _case("outcomes-tally-missing", _bench("BENCH_power"),
           drop("outcomes", "worker_crashed"), "outcomes['worker_crashed']"),
-    _case("outcomes-negative", _bench("BENCH_dvfs"),
+    _case("outcomes-negative", _governed("dvfs"),
           put("outcomes", "ok", -1), "non-negative integer"),
-    _case("outcomes-not-int", _bench("BENCH_dvfs"),
+    _case("outcomes-not-int", _governed("dvfs"),
           put("outcomes", "ok", "3"), "non-negative integer"),
-    _case("outcomes-bool", _bench("BENCH_dvfs"),
+    _case("outcomes-bool", _governed("dvfs"),
           put("outcomes", "ok", True), "non-negative integer"),
     *(
-        _case(f"outcomes-fault-{name}", _bench("BENCH_coordinated"),
+        _case(f"outcomes-fault-{name}", _governed("coordinated"),
               put("outcomes", name, 1), f"{name}=1")
         for name in _FAULTS
     ),
@@ -259,7 +279,7 @@ def test_rule_fails(tmp_path, capsys, make, mutate, expect, args,
 
 def test_every_path_is_reported(tmp_path, capsys):
     good = tmp_path / "good.json"
-    good.write_text(json.dumps(_bench("BENCH_dvfs")()))
+    good.write_text(json.dumps(_governed("dvfs")()))
     assert check_artifact.main([str(good), str(tmp_path / "absent")]) == 1
     captured = capsys.readouterr()
     assert f"ok: {good}" in captured.out

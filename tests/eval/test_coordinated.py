@@ -1,31 +1,35 @@
 """The --coordinated evaluation: contract, payload, CLI artifact."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.eval.coordinated import (
-    GOVERNORS,
+from repro.errors import ConfigurationError
+from repro.eval.governed import (
+    SUITES,
     bench_payload,
     check_contract,
-    evaluate_all,
+    evaluate,
     render,
 )
 from repro.eval.runner import main
 
+GOVERNORS = SUITES["coordinated"].policies
 FRAMES = 6
 
-#: ``bench_payload(evaluate_all(frames=6))["scenarios"]`` recorded from
-#: the harness's ``Fraction`` deadline arithmetic; its integer form must
-#: reproduce every number bit for bit.
+#: ``bench_payload("coordinated", evaluate("coordinated", frames=6))``
+#: ``["scenarios"]``, recorded from the harness's ``Fraction`` deadline
+#: arithmetic; its integer form must reproduce every number bit for
+#: bit.
 GOLDEN = Path(__file__).parent / "golden" \
     / "coordinated_scenarios_frames6.json"
 
 
 @pytest.fixture(scope="module")
 def evaluations():
-    return evaluate_all(frames=FRAMES)
+    return evaluate("coordinated", frames=FRAMES)
 
 
 def test_every_scenario_runs_every_policy(evaluations):
@@ -38,7 +42,7 @@ def test_every_scenario_runs_every_policy(evaluations):
 
 
 def test_contract_holds(evaluations):
-    findings = check_contract(evaluations)
+    findings = check_contract("coordinated", evaluations)
     assert len(findings) == len(evaluations)
     for finding in findings:
         assert "zero misses" in finding
@@ -46,7 +50,7 @@ def test_contract_holds(evaluations):
 
 
 def test_bench_payload_shape(evaluations):
-    payload = bench_payload(evaluations)
+    payload = bench_payload("coordinated", evaluations)
     assert payload["artifact"] == "BENCH_coordinated"
     for key, scenario in payload["scenarios"].items():
         assert scenario["engines_bit_identical"] is True
@@ -78,7 +82,7 @@ def test_bench_payload_shape(evaluations):
 
 
 def test_scenarios_match_golden(evaluations):
-    scenarios = bench_payload(evaluations)["scenarios"]
+    scenarios = bench_payload("coordinated", evaluations)["scenarios"]
     # The ~1e-16 conservation residue comes from ``sum()`` over floats,
     # whose rounding changed in Python 3.12; ``check_contract`` bounds
     # it, and the rounded energies pin the arithmetic.
@@ -87,6 +91,28 @@ def test_scenarios_match_golden(evaluations):
             del entry["conservation_relative_error"]
     text = json.dumps(scenarios, indent=2) + "\n"
     assert text == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("kind, change", [
+    ("coordinated", lambda results: {"deadline_misses": 1}),
+    ("independent", lambda results: {"conservation_error": 2e-9}),
+    ("coordinated",
+     lambda results: {"ledger": results["independent"].ledger}),
+], ids=["deadline-miss", "conservation", "energy-ordering"])
+def test_contract_violation_names_its_scenario(evaluations, kind, change):
+    results = evaluations["stereo_pipeline"]
+    broken = {**evaluations, "stereo_pipeline": {
+        **results, kind: replace(results[kind], **change(results)),
+    }}
+    with pytest.raises(AssertionError, match="stereo_pipeline"):
+        check_contract("coordinated", broken)
+
+
+@pytest.mark.parametrize("frames", [0, -1])
+@pytest.mark.parametrize("factory", SUITES["coordinated"].scenarios)
+def test_empty_trace_fails_in_the_scenario(factory, frames):
+    with pytest.raises(ConfigurationError, match=": no frames"):
+        factory(frames=frames)
 
 
 def test_render_mentions_every_policy(evaluations):
@@ -114,5 +140,3 @@ def test_cli_coordinated_rejects_conflicting_flags(tmp_path):
         main(["--coordinated", "--dvfs", "-o", str(tmp_path)])
     with pytest.raises(SystemExit):
         main(["--coordinated", "--engines", "-o", str(tmp_path)])
-    with pytest.raises(SystemExit):
-        main(["--coordinated", "-j", "4", "-o", str(tmp_path)])

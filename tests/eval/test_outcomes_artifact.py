@@ -19,7 +19,7 @@ _spec.loader.exec_module(check_artifact)
 def _payload(**overrides):
     outcomes = dict.fromkeys(outcomes_snapshot(), 0)
     outcomes.update(overrides)
-    return {"artifact": "BENCH_dvfs", "outcomes": outcomes}
+    return {"artifact": "BENCH_power", "outcomes": outcomes}
 
 
 def test_clean_block_passes():

@@ -1,9 +1,14 @@
 """Runner CLI behaviours."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.eval.runner import main, run_all, write_results
 
 
@@ -36,6 +41,23 @@ def test_cli_output_directory(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote" in out
     assert (tmp_path / "table1.txt").exists()
+
+
+def test_module_entry_point_runs_without_warnings():
+    """``python -m repro.eval.runner`` must not make runpy warn.
+
+    runpy warns when the package's ``__init__`` has already imported
+    the module it is about to run as ``__main__``.
+    """
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.eval.runner", "-e", "table1"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "== table1" in result.stdout
 
 
 def test_trace_requires_engines(capsys):

@@ -7,7 +7,10 @@ corruption, ``run_many_outcomes`` completes the sweep with statistics
 and quarantine is visible in the outcomes, the counters, and on the
 obs bus.  A generated-case fuzz sweep on the same supervisor comes out
 with the fault-free rows under worker kills, and a case that overruns
-its budget settles ``timed_out`` under its ``(seed, index)`` label.
+its budget settles ``timed_out`` under its ``(seed, index)`` label;
+a governed (scenario, policy) pair does the same under its
+``coordinated (<scenario>, <policy>)`` label, and a pair that raises
+runs exactly once.
 
 CI runs this file once per seed of its matrix (``CHAOS_SEED``); the
 injector is a pure function of the seed, so any red cell replays
@@ -19,8 +22,8 @@ import os
 import pytest
 
 from repro.arch.config import ChipConfig, ColumnConfig
-from repro.errors import BatchError
-from repro.eval import fuzz
+from repro.errors import BatchError, SimulationError
+from repro.eval import fuzz, governed
 from repro.isa.assembler import assemble
 from repro.obs.events import subscribed
 from repro.sim.batch import ResultCache, run_many, RunRequest
@@ -33,6 +36,10 @@ from repro.sim.resilience import (
     run_many_outcomes,
     set_default_policy,
     supervise,
+)
+from repro.workloads.coordinated import (
+    PIPELINE_GOVERNORS,
+    ddc_pipeline_scenario,
 )
 from repro.workloads.generate import check_case
 
@@ -333,3 +340,65 @@ def test_fail_fast_fuzz_sweep_names_the_pair():
             fuzz.evaluate(FUZZ_SEED, FUZZ_COUNT, processes=2)
     finally:
         set_default_policy(None)
+
+
+# Governed pairs: one coordinated scenario's (scenario, policy) jobs,
+# labelled the way repro.eval.governed.evaluate labels them.
+
+def _governed_pairs(processes, policy, injector):
+    scenario = ddc_pipeline_scenario(frames=2)
+    jobs = [
+        Job(governed.run_pair, (scenario, kind),
+            f"coordinated (ddc_pipeline, {kind})")
+        for kind in PIPELINE_GOVERNORS
+    ]
+    outcomes = [None] * len(jobs)
+    supervise(jobs, outcomes, processes, policy, injector)
+    return outcomes
+
+
+def test_hung_governed_pairs_time_out_under_their_labels():
+    injector = FaultInjector(
+        SEED, [FaultSpec("delay_job", rate=1.0, attempts=(1, 2),
+                         delay_s=5.0)]
+    )
+    outcomes = _governed_pairs(
+        2, FaultPolicy(max_retries=1, timeout_s=0.2, backoff_base_s=0.0,
+                       keep_going=True),
+        injector,
+    )
+    assert [o.status for o in outcomes] == ["timed_out"] * 3
+    assert [o.label for o in outcomes] == [
+        f"coordinated (ddc_pipeline, {kind})" for kind in PIPELINE_GOVERNORS
+    ]
+    assert all(o.attempts == 2 for o in outcomes)
+
+
+def test_fail_fast_governed_sweep_names_the_pair():
+    # What `runner --coordinated --job-timeout` does to a pair over budget.
+    set_default_policy(FaultPolicy(max_retries=0, timeout_s=0.001))
+    try:
+        with pytest.raises(BatchError, match=(
+            r"job 'coordinated \(\w+, \w+\)' timed_out"
+        )):
+            governed.evaluate("coordinated", frames=2, processes=2)
+    finally:
+        set_default_policy(None)
+
+
+def test_raising_governed_pair_runs_once(monkeypatch):
+    calls = []
+
+    def broken(scenario, kind, engine):
+        calls.append(kind)
+        raise SimulationError(f"{scenario.key}/{kind}: pipeline broke")
+
+    monkeypatch.setattr(governed, "run_pipeline", broken)
+    outcomes = _governed_pairs(
+        1, FaultPolicy(max_retries=2, backoff_base_s=0.0, keep_going=True),
+        None,
+    )
+    assert [o.status for o in outcomes] == ["failed"] * 3
+    assert [o.attempts for o in outcomes] == [1] * 3
+    assert calls == list(PIPELINE_GOVERNORS)
+    assert outcomes_snapshot()["retries"] == 0

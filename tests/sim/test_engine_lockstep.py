@@ -575,6 +575,29 @@ def test_recurrence_table_clears_at_its_cap(monkeypatch):
     assert table == {(engine._lock_fingerprint(), "b"): 1}
 
 
+def test_fingerprint_intern_clears_at_its_cap(monkeypatch):
+    """The fingerprint table is bounded, and no fingerprint repeats.
+
+    A reused int would let a live engine's cached fingerprint reach a
+    later structure's shared plans and recurrence counts.
+    """
+    cap = engine_module._SHARED_LOCK_CAP
+    table = {("stale", index): -1 - index for index in range(cap)}
+    monkeypatch.setattr(engine_module, "_FP_INTERN", table)
+    first = CompiledEngine(build_streaming_pair())
+    fp = first._lock_fingerprint()
+    assert list(table.values()) == [fp]  # a new key at the cap clears
+    warm = CompiledEngine(build_streaming_pair())
+    assert warm._lock_fingerprint() == fp and warm._lock_warm
+    table.clear()
+    again = CompiledEngine(build_streaming_pair())
+    assert again._lock_fingerprint() != fp and not again._lock_warm
+    other = CompiledEngine(build_streaming_pair(capacity=16))
+    assert other._lock_fingerprint() not in (
+        fp, again._lock_fingerprint(),
+    )
+
+
 @pytest.mark.usefixtures("fresh_lockstep_tables")
 def test_lockstep_build_instant_per_built_plan():
     """Each built round emits one deterministic ``lockstep_build``.

@@ -18,7 +18,9 @@ this tool only dispatches on the payload:
 * ``BENCH_engine`` also gets :func:`repro.eval.engines.check_bench`
   (profile counters, engaged tiers) and
   :func:`repro.eval.engines.compare_baseline` against ``--baseline``;
-* ``BENCH_fuzz`` also gets :func:`repro.eval.fuzz.check_bench`.
+* ``BENCH_fuzz`` also gets :func:`repro.eval.fuzz.check_bench`;
+* ``BENCH_dvfs`` and ``BENCH_coordinated`` also get
+  :func:`repro.eval.governed.check_bench`.
 
 Prints one verdict per path and exits non-zero if any path fails.
 """
@@ -30,7 +32,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.eval import engines, fuzz
+from repro.eval import engines, fuzz, governed
 from repro.obs.export import validate_chrome_trace
 from repro.sim.resilience import check_outcomes
 
@@ -54,6 +56,8 @@ def check(payload, baseline: dict, min_cases: int = 1,
         failures += engines.compare_baseline(payload, baseline)
     elif artifact == "BENCH_fuzz":
         failures += fuzz.check_bench(payload, min_cases)
+    elif artifact.removeprefix("BENCH_") in governed.SUITES:
+        failures += governed.check_bench(payload)
     return failures
 
 
