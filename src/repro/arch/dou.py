@@ -398,12 +398,11 @@ class Dou:
         take the full-transfer fast path* - which the guards (every
         source holds a word, every destination has room) certify.
         When a guard fails nothing is applied and the caller must
-        fall back to :meth:`step`; the interpreter then handles
-        whatever the truth is (partial starvation, backpressure,
-        strict errors).  The state is a self-loop, so the pointer is
-        left untouched.  Span fractions accumulate one addition per
-        retire in interpreter order - float-exact against the
-        reference.
+        fall back to :meth:`step`, which settles whatever the truth is
+        (a stall, backpressure, partial delivery, strict errors).  The
+        state is a self-loop, so the pointer is left untouched.  Span
+        fractions accumulate one addition per retire in interpreter
+        order - float-exact against the reference.
         """
         for words in plan.sources:
             if not words:
@@ -441,12 +440,13 @@ class Dou:
     def step(self) -> int:
         """Run one bus cycle; returns the number of words delivered.
 
-        Dispatches to the compiled per-state plan when one exists and
-        its occupancy preconditions hold (the steady state of a static
-        schedule); anything else - blocked transfers, partial
-        starvation, strict-mode errors, statically ineligible states -
-        falls through to the generic interpreter, keeping every
-        counter byte-for-byte identical to the uncompiled machine.
+        Dispatches to the compiled per-state plan when one exists: the
+        full transfer, and in permissive mode the pure stall (every
+        source empty) and full backpressure (every fed destination
+        full).  Partial delivery, partial starvation, strict-mode
+        errors and statically ineligible states fall through to the
+        generic interpreter, keeping every counter byte-for-byte
+        identical to the uncompiled machine.
         """
         plan = self._plans[self.state_index]
         if plan is None:
@@ -459,17 +459,21 @@ class Dou:
                     if other:  # partial starvation: interpreter
                         return self._step_generic()
                 # Every source empty: one pure stall cycle.
-                self.cycles += 1
-                self.blocked_cycles += 1
-                counter = plan.counter
-                if counter is None:
-                    self.state_index = plan.next_otherwise
-                else:
-                    self._advance_compiled(plan, counter)
-                return 0
+                return self._stall(plan)
         for words, room in plan.room_checks:
             if len(words) > room:
-                return self._step_generic()
+                if not plan.starve_ok:
+                    return self._step_generic()  # strict overflow
+                for _, destinations in plan.blocks:
+                    for dest_words, capacity in destinations:
+                        if len(dest_words) < capacity:  # partial delivery
+                            return self._step_generic()
+                # Every destination full: one backpressure stall.
+                # Each drive still puts its word on the wire.
+                bus = self.bus
+                bus.words_moved += plan.n_drives
+                bus.cycles_with_traffic += 1
+                return self._stall(plan)
         # Steady state: the full transfer, as a tuple walk.  Captures
         # push before drives pop, mirroring the interpreter's order.
         self.cycles += 1
@@ -500,6 +504,17 @@ class Dou:
         else:
             self._advance_compiled(plan, counter)
         return moved
+
+    def _stall(self, plan) -> int:
+        """One blocked cycle of a permissive plan: nothing retires."""
+        self.cycles += 1
+        self.blocked_cycles += 1
+        counter = plan.counter
+        if counter is None:
+            self.state_index = plan.next_otherwise
+        else:
+            self._advance_compiled(plan, counter)
+        return 0
 
     def _advance_compiled(self, plan, counter: int) -> None:
         """Counter-testing transition of the compiled fast path."""

@@ -25,10 +25,11 @@ whenever the plan's occupancy preconditions hold:
 
 States failing any test keep ``None`` and always run the generic
 interpreter, which preserves their error behavior exactly.  Eligible
-states still fall back to the interpreter whenever a precondition
-fails at run time (some-but-not-all sources empty, destination
-nearly full, strict-mode underflow/overflow), so blocked and error
-cases stay byte-for-byte identical to the uncompiled machine.
+permissive states also settle both no-progress cycles - every source
+empty, or every fed destination full - from the plan.  They fall back
+to the interpreter only for partial starvation, partial delivery and
+strict-mode underflow/overflow, so those cases stay byte-for-byte
+identical to the uncompiled machine.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class StatePlan:
     counted), ``captures``/``drains`` perform the word movement in the
     generic interpreter's push-then-pop order.  ``blocks`` groups each
     drive's source deque with the (deque, capacity) of every capture it
-    feeds - the structure the no-progress orbit check walks to decide
-    whether any word could move this cycle.
+    feeds - the structure the backpressure check of ``Dou.step`` and
+    the no-progress orbit check walk to decide whether any word could
+    move this cycle.
     """
 
     __slots__ = (

@@ -68,21 +68,24 @@ ENGINES = ("reference", "compiled")
 #: the *recorded floors* the runner enforces (``--engines`` exits
 #: non-zero when a full-size run lands below its floor) - set with
 #: headroom below the measured trajectory (fir ~6.7x, wlan_acs ~4.2x,
-#: mixed_dividers ~45x, ddc_pipeline ~7x, governed_burst ~8.5x on the
+#: mixed_dividers ~45x, ddc_pipeline ~7x, governed_burst ~6.7x on the
 #: development machine, warm caches, interleaved best-of timing) so
 #: only a real regression trips them, never scheduler noise.  The
 #: ddc_pipeline and governed_burst floors moved 3.0 -> 6.0/8.0 with
 #: the lockstep round compiler, shared plan cache, and gated-prefix
-#: orbit batching.  The tighter bars live in
-#: ``benchmarks/test_engine_speedup.py``.  Smoke runs shrink the
-#: workloads until fixed costs dominate, so floors are not enforced
-#: under ``BENCH_SMOKE=1``.
+#: orbit batching.  governed_burst then fell 8.0 -> 6.0 when compiled
+#: DOU backpressure stalls sped up the *reference* engine (median
+#: time x0.75) while the compiled engine's time did not rise: a ratio
+#: floor moves only by the reference engine's measured gain.  The
+#: tighter bars live in ``benchmarks/test_engine_speedup.py``.  Smoke
+#: runs shrink the workloads until fixed costs dominate, so floors are
+#: not enforced under ``BENCH_SMOKE=1``.
 SPEEDUP_FLOORS = {
     "fir": 3.5,
     "wlan_acs": 3.0,
     "mixed_dividers": 10.0,
     "ddc_pipeline": 6.0,
-    "governed_burst": 8.0,
+    "governed_burst": 6.0,
 }
 
 

@@ -22,7 +22,8 @@ render concurrently through :func:`repro.sim.batch.parallel_map`.
 and the Figure 8 sweep) from simulated activity batched through
 :func:`repro.sim.batch.run_many`, and emits a ``BENCH_power.json``
 artifact recording the measured-vs-analytical deltas and the
-energy-ledger conservation audit.
+energy-ledger conservation audit; ``--jobs`` fans the kernel runs
+across workers.
 
 ``--dvfs`` and ``--coordinated`` are the two suites of
 :mod:`repro.eval.governed`: the bursty one-column scenarios under the
@@ -130,14 +131,15 @@ def run_all(names: list | None = None, jobs: int | None = 1) -> dict:
     return dict(zip(selected, rendered))
 
 
-def run_measured(names: list | None = None) -> dict:
+def run_measured(names: list | None = None, processes: int | None = 1) -> dict:
     """{experiment id: measured render} plus the BENCH payload.
 
     The kernel simulations behind every measured render share one
     :func:`repro.sim.batch.run_many` batch (memoized process-wide),
     so Table 4, Figure 6, and the Figure 8 sweep price each kernel
-    run once.  Returns the rendered texts under their experiment ids
-    and the JSON payload under ``"BENCH_power"``.
+    run once, on ``processes`` workers.  Returns the rendered texts
+    under their experiment ids and the JSON payload under
+    ``"BENCH_power"``.
     """
     from repro.eval.measured import bench_payload, evaluate_all
 
@@ -151,11 +153,11 @@ def run_measured(names: list | None = None) -> dict:
     # Every application is evaluated regardless of the render
     # selection: the BENCH payload always covers the full Table 4,
     # and the kernel runs behind it are memoized process-wide.
-    evaluations = evaluate_all()
+    evaluations = evaluate_all(processes=processes)
     outputs = {}
     for name in selected:
         if name == "fig8":
-            outputs[name] = fig8.render_measured()
+            outputs[name] = fig8.render_measured(processes)
         else:
             outputs[name] = _EXPERIMENTS[name].render_measured(
                 evaluations
@@ -243,8 +245,8 @@ def main(argv: list | None = None) -> None:
     parser.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
         help="run N supervised jobs in parallel: experiment renders, "
-             "--fuzz cases, --dvfs and --coordinated pairs "
-             "(0 = one per CPU)",
+             "--measured kernel runs, --fuzz cases, --dvfs and "
+             "--coordinated pairs (0 = one per CPU)",
     )
     parser.add_argument(
         "--measured", action="store_true",
@@ -442,7 +444,7 @@ def main(argv: list | None = None) -> None:
                 )
         sink = CountingSink()
         with subscribed(sink):
-            measured = run_measured(names)
+            measured = run_measured(names, processes=jobs)
         payload = measured.pop("BENCH_power")
         if args.output:
             for written in write_results(measured, args.output):

@@ -21,11 +21,8 @@ voltage (a k-FO4 path is 20/k times faster than a 20 FO4 path).
 
 from __future__ import annotations
 
-
+from bisect import bisect_right
 from typing import Iterable, Sequence
-
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from repro.errors import FrequencyRangeError
 from repro.tech.parameters import PAPER_TECHNOLOGY, TechnologyParameters
@@ -49,6 +46,48 @@ ANCHORS_20FO4 = (
     (2.00, 780.0),
     (2.12, 840.0),
 )
+
+
+def _sign(value: float) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(xs: Sequence[float], ys: Sequence[float]) -> tuple:
+    """Per-interval cubic coefficients ``(c0, c1, c2, c3)`` of PCHIP.
+
+    Follows ``scipy.interpolate.PchipInterpolator`` operation for
+    operation, so the curve is bit-identical to scipy's: an interior
+    slope is zero where the neighbouring secants differ in sign or
+    either is zero, and their weighted harmonic mean otherwise.
+    """
+    hs = [b - a for a, b in zip(xs, xs[1:])]
+    ms = [(b - a) / h for a, b, h in zip(ys, ys[1:], hs)]
+    if len(ms) == 1:
+        slopes = ms * 2  # two anchors: a straight line
+    else:
+        slopes = [_end_slope(hs[0], hs[1], ms[0], ms[1])]
+        for h0, h1, m0, m1 in zip(hs, hs[1:], ms, ms[1:]):
+            w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+            slopes.append(
+                0.0 if _sign(m0) * _sign(m1) <= 0
+                else 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2))
+            )
+        slopes.append(_end_slope(hs[-1], hs[-2], ms[-1], ms[-2]))
+    coefficients = []
+    for h, m, y, d0, d1 in zip(hs, ms, ys, slopes, slopes[1:]):
+        t = (d0 + d1 - 2 * m) / h
+        coefficients.append((t / h, (m - d0) / h - t, d0, y))
+    return tuple(coefficients)
 
 
 #: Shared curve instances keyed by FO4 depth (see ``from_technology``).
@@ -90,7 +129,7 @@ class VoltageFrequencyCurve:
         self._freqs = tuple(freqs)
         self.fo4_depth = float(fo4_depth)
         self._speedup = reference_fo4 / float(fo4_depth)
-        self._interp = PchipInterpolator(voltages, freqs)
+        self._coefficients = _pchip_coefficients(voltages, freqs)
         # Exact-input memo tables.  Governed runs evaluate the curve at
         # the same handful of ladder frequencies every epoch; keying on
         # the exact float keeps results bit-identical while skipping
@@ -143,9 +182,18 @@ class VoltageFrequencyCurve:
                 f"voltage {voltage} V outside modelled range "
                 f"[{self.v_floor}, {self.v_ceiling}] V"
             )
-        result = float(self._interp(voltage)) * self._speedup
+        result = self._spline(voltage) * self._speedup
         self._fmax_memo[voltage] = result
         return result
+
+    def _spline(self, voltage: float) -> float:
+        """The anchor PCHIP at an in-range voltage, unscaled."""
+        voltages = self._voltages
+        # The top anchor belongs to the last interval.
+        k = min(bisect_right(voltages, voltage), len(voltages) - 1) - 1
+        c0, c1, c2, c3 = self._coefficients[k]
+        s = float(voltage) - voltages[k]
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
     def min_voltage_for(self, frequency_mhz: float) -> float:
         """Continuous minimum supply voltage supporting ``frequency_mhz``.
@@ -169,13 +217,17 @@ class VoltageFrequencyCurve:
                 f"at {self.v_ceiling} V"
             )
         else:
-            result = float(
-                brentq(
-                    lambda v: self.max_frequency_mhz(v) - frequency_mhz,
-                    self.v_floor,
-                    self.v_ceiling,
-                )
-            )
+            # fmax(low) < f <= fmax(high) throughout; the upper bracket
+            # is returned, so the guarantee holds exactly.
+            low, high = self.v_floor, self.v_ceiling
+            middle = (low + high) / 2
+            while low < middle < high:
+                if self.max_frequency_mhz(middle) >= frequency_mhz:
+                    high = middle
+                else:
+                    low = middle
+                middle = (low + high) / 2
+            result = high
         self._vmin_memo[frequency_mhz] = result
         return result
 

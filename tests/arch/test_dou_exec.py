@@ -136,11 +136,45 @@ def _snapshot(dou, writes, reads):
     )
 
 
+def _twins(program, strict):
+    """A compiled rig and a twin with plans disabled (interpreter only)."""
+    fast = _rig(program, strict=strict)
+    slow = _rig(program, strict=strict)
+    slow[0]._plans = (None,) * len(program.states)
+    return fast, slow
+
+
+def _count_generic(dou):
+    """Record the state of every interpreter call ``dou`` makes."""
+    calls = []
+    generic = dou._step_generic
+
+    def counted():
+        calls.append(dou.state_index)
+        return generic()
+
+    dou._step_generic = counted
+    return calls
+
+
+def _step_twins(fast, slow, label=""):
+    """Step both rigs once; every counter and buffer must agree."""
+    moved = fast[0].step()
+    assert moved == slow[0].step(), label
+    assert _snapshot(*fast) == _snapshot(*slow), label
+    return moved
+
+
+def _fill(buffer, value=0):
+    while not buffer.is_full:
+        buffer.push(value)
+
+
 def _differential_run(program, feed, strict, steps=64):
     """Step a compiled rig and a plans-disabled twin in lockstep."""
-    fast, fast_w, fast_r = _rig(program, strict=strict)
-    slow, slow_w, slow_r = _rig(program, strict=strict)
-    slow._plans = (None,) * len(program.states)
+    fast, slow = _twins(program, strict)
+    _, fast_w, fast_r = fast
+    _, slow_w, slow_r = slow
     for step in range(steps):
         for position, value in feed(step):
             # Both rigs are asserted identical, so fullness agrees.
@@ -153,11 +187,7 @@ def _differential_run(program, feed, strict, steps=64):
                 if not fast_r[position].is_empty:
                     assert fast_r[position].pop() == \
                         slow_r[position].pop()
-        moved_fast = fast.step()
-        moved_slow = slow.step()
-        assert moved_fast == moved_slow, f"step {step}"
-        assert _snapshot(fast, fast_w, fast_r) == \
-            _snapshot(slow, slow_w, slow_r), f"step {step}"
+        _step_twins(fast, slow, f"step {step}")
 
 
 def test_fast_path_matches_interpreter_through_starvation():
@@ -210,17 +240,93 @@ def test_fast_path_strict_errors_match_interpreter():
 
 def test_fast_path_full_destination_matches_interpreter():
     program = DouProgram(states=(_transfer_state(),))
-    fast, fast_w, fast_r = _rig(program, strict=False)
-    slow, slow_w, slow_r = _rig(program, strict=False)
-    slow._plans = (None,) * len(program.states)
-    for rig_w, rig_r in ((fast_w, fast_r), (slow_w, slow_r)):
-        for _ in range(rig_r[1].capacity):
-            rig_r[1].push(0)
-        rig_w[0].push(9)
-    assert fast.step() == slow.step() == 0
-    assert fast.blocked_cycles == slow.blocked_cycles == 1
-    fast_r[1].pop(), slow_r[1].pop()
-    assert fast.step() == slow.step() == 1
+    fast, slow = _twins(program, strict=False)
+    calls = _count_generic(fast[0])
+    for _, writes, reads in (fast, slow):
+        _fill(reads[1])
+        writes[0].push(9)
+    assert _step_twins(fast, slow) == 0
+    assert fast[0].blocked_cycles == 1
+    assert fast[0].bus.words_moved == 1  # the word reached the wire
+    for _, _, reads in (fast, slow):
+        reads[1].pop()
+    assert _step_twins(fast, slow) == 1
+    assert calls == []
+
+
+def test_two_drive_backpressure_stalls_without_interpreter():
+    """Both destinations full: a compiled stall, then the transfer."""
+    state = DouState(
+        closed=frozenset({(0, 0), (1, 2)}),
+        drives=((0, 0), (2, 1)),
+        captures=((1, 0), (3, 1)),
+    )
+    fast, slow = _twins(DouProgram(states=(state,)), strict=False)
+    calls = _count_generic(fast[0])
+    for _, writes, reads in (fast, slow):
+        _fill(reads[1])
+        _fill(reads[3])
+        writes[0].push(7)
+        writes[2].push(8)
+    for step in range(3):
+        assert _step_twins(fast, slow, f"stall {step}") == 0
+    assert fast[0].blocked_cycles == 3
+    assert fast[0].bus.words_moved == 6
+    assert fast[0].bus.cycles_with_traffic == 3
+    assert calls == []
+    for _, _, reads in (fast, slow):
+        reads[1].pop()
+        reads[3].pop()
+    assert _step_twins(fast, slow) == 2
+    assert calls == []
+
+
+def test_counter_state_backpressure_takes_both_branches():
+    """A repeat=k loop stalled on a full destination still counts down."""
+    cycle = DouCycle(closed=frozenset({(0, 0)}), drives=((0, 0),),
+                     captures=((1, 0),))
+    program = linear_schedule([cycle], repeat=3)
+    fast, slow = _twins(program, strict=False)
+    calls = _count_generic(fast[0])
+    for _, writes, reads in (fast, slow):
+        _fill(reads[1])
+        writes[0].push(5)
+    # Counter 2 -> 1 -> 0 on NXTSTATE1, then the zero branch resets it
+    # and parks in the idle state.
+    for step, (counter, state) in enumerate(
+            ((1, 0), (0, 0), (2, 1))):
+        assert _step_twins(fast, slow, f"stall {step}") == 0
+        assert (fast[0].counters[0], fast[0].state_index) == \
+            (counter, state)
+    assert fast[0].blocked_cycles == 3
+    assert calls == []
+
+
+def test_partly_full_broadcast_still_interprets():
+    """One full destination of a broadcast: partial delivery."""
+    program = broadcast_schedule()
+    fast, slow = _twins(program, strict=False)
+    calls = _count_generic(fast[0])
+    for _, writes, reads in (fast, slow):
+        _fill(reads[2])
+        writes[0].push(3)
+    assert _step_twins(fast, slow) == len(fast[0].state.captures) - 1
+    assert fast[0].words_retired == 1
+    assert calls == [0]
+
+
+def test_strict_full_destination_raises_like_interpreter():
+    program = DouProgram(states=(_transfer_state(),))
+    fast, slow = _twins(program, strict=True)
+    messages = []
+    for dou, writes, reads in (fast, slow):
+        _fill(reads[1])
+        writes[0].push(9)
+        with pytest.raises(SimulationError, match="overflow") as error:
+            dou.step()
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+    assert _snapshot(*fast) == _snapshot(*slow)
 
 
 # ----------------------------------------------------------------------

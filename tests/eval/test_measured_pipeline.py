@@ -129,3 +129,33 @@ def test_cli_measured_writes_bench_artifact(tmp_path, capsys):
         "mpeg4_cif",
     }
     assert (tmp_path / "table4.txt").exists()
+
+
+def test_cli_measured_jobs_match_serial(tmp_path, monkeypatch):
+    """``--measured -j 2`` runs the kernels in workers: same artifact."""
+    from repro.sim.batch import ResultCache
+    from repro.sim.resilience import reset_outcome_counters
+    from repro.workloads import measured
+
+    batches = []
+    run_many = measured.run_many
+
+    def recorded(requests, processes, **kwargs):
+        batches.append(processes)
+        return run_many(requests, processes=processes, **kwargs)
+
+    monkeypatch.setattr(measured, "run_many", recorded)
+    payloads = []
+    for jobs in ("1", "2"):
+        # Fresh memos, so the second run simulates in its workers.
+        monkeypatch.setattr(measured, "_ACTIVITY_MEMO", {})
+        monkeypatch.setattr(measured, "_RESULT_CACHE", ResultCache())
+        reset_outcome_counters()
+        main(["--measured", "-j", jobs, "-o", str(tmp_path / jobs)])
+        payload = json.loads(
+            (tmp_path / jobs / "BENCH_power.json").read_text()
+        )
+        payload.pop("telemetry")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert set(batches) == {1, 2}

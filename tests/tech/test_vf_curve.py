@@ -1,9 +1,18 @@
 """The V-f curve must reproduce every (f, V) pair the paper reports."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
+import repro
 from repro.errors import FrequencyRangeError
+from repro.tech.parameters import PAPER_TECHNOLOGY
 from repro.tech.vf_curve import ANCHORS_20FO4, VoltageFrequencyCurve
 
 #: Every frequency-to-rail assignment appearing in Table 4 or the
@@ -103,9 +112,54 @@ def test_min_voltage_inverse_property(frequency):
     """fmax(min_voltage_for(f)) >= f."""
     curve = VoltageFrequencyCurve.from_technology()
     voltage = curve.min_voltage_for(frequency)
-    assert curve.max_frequency_mhz(voltage) >= frequency - 1e-6
+    assert curve.max_frequency_mhz(voltage) >= frequency
 
 
 def test_anchors_are_the_published_table():
     assert ANCHORS_20FO4[0] == (0.60, 30.0)
     assert (1.65, 600.0) in ANCHORS_20FO4
+
+
+@pytest.mark.parametrize("depth", [20.0, 15.0])
+def test_spline_is_scipy_pchip_bit_for_bit(depth):
+    """The pure-Python PCHIP equals scipy's at every probed voltage."""
+    voltages = [v for v, _ in ANCHORS_20FO4]
+    reference = PchipInterpolator(voltages, [f for _, f in ANCHORS_20FO4])
+    rng = np.random.default_rng(2004)
+    probes = np.concatenate([
+        voltages,
+        PAPER_TECHNOLOGY.voltage_rails,
+        rng.uniform(voltages[0], voltages[-1], 100_000),
+    ])
+    curve = VoltageFrequencyCurve(ANCHORS_20FO4, fo4_depth=depth)
+    speedup = 20.0 / depth
+    expected = (reference(probes) * speedup).tolist()
+    mismatched = [
+        voltage for voltage, value in zip(probes.tolist(), expected)
+        if curve.max_frequency_mhz(voltage) != value
+    ]
+    assert not mismatched, f"{len(mismatched)} voltages, first {mismatched[0]}"
+
+
+def test_two_anchor_curve_is_scipy_straight_line():
+    anchors = [(0.7, 100.0), (1.3, 400.0)]
+    reference = PchipInterpolator(*zip(*anchors))
+    curve = VoltageFrequencyCurve(anchors)
+    for voltage in np.linspace(0.7, 1.3, 101).tolist():
+        assert curve.max_frequency_mhz(voltage) == float(reference(voltage))
+
+
+def test_governed_path_imports_no_scipy():
+    """The V-f curve is pure Python: the governed stack loads no scipy."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = (
+        "import sys, repro.workloads.generate, repro.workloads.coordinated;"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -8,9 +8,12 @@ segments, rail wakes and rounded ledger energy
 indices 0..14 - one case per app x topology class - on the reference
 engine and on the compiled engine with its lockstep hunting scope as
 shipped, forced on in every window and forced off, so a change to how
-the compiled engine steps cannot move a statistic unseen.  CI's fuzz
-lane checks all 120 cases with ``tools/corpus_digests.py``, which also
-rewrites the file after a deliberate change.
+the compiled engine steps cannot move a statistic unseen.  Each run
+also counts the DOU interpreter's calls: every cycle of the corpus,
+backpressure included, has a compiled per-state path, so none may
+reach ``Dou._step_generic``.  CI's fuzz lane checks all 120 cases
+with ``tools/corpus_digests.py``, which also rewrites the file after
+a deliberate change.
 """
 
 import json
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch.dou import Dou
 from repro.sim.engine import CompiledEngine
 from repro.workloads.generate import case_digest
 
@@ -39,6 +43,14 @@ def test_corpus_matches_golden_digests(monkeypatch, engine, hunt):
         monkeypatch.setattr(
             CompiledEngine, "_hunt_scope", lambda self, ticks: hunt
         )
+    interpreted = []
+    generic = Dou._step_generic
+
+    def counted(self):
+        interpreted.append(self.program.name)
+        return generic(self)
+
+    monkeypatch.setattr(Dou, "_step_generic", counted)
     moved = [
         f"(seed {SEED}, index {index})"
         for index in range(CLASSES)
@@ -48,6 +60,10 @@ def test_corpus_matches_golden_digests(monkeypatch, engine, hunt):
         f"{engine} engine digests changed at {', '.join(moved)}; "
         f"rewrite with tools/corpus_digests.py --write only for a "
         f"deliberate change to a statistic"
+    )
+    assert not interpreted, (
+        f"{len(interpreted)} DOU cycles fell back to the interpreter "
+        f"on the {engine} engine, the first in {interpreted[0]}"
     )
 
 
