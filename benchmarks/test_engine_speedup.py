@@ -23,10 +23,10 @@ Four workloads bracket the engine's operating range:
   contract lives in the runner's recorded floors, where full-size
   best-of repeats make it reliable);
 * the governed WLAN burst scenario - the full control stack (epoch
-  windows, occupancy-PI retunes, plan-cache reuse, shared lockstep
-  plans across per-epoch engines) must carry the compute-plane
-  compilation through to a >= 4.1x end-to-end speedup (the runner
-  floor is 6x).
+  windows, occupancy-PI retunes, clock-plan cache reuse) must carry
+  the compute-plane compilation through to a >= 4.1x end-to-end
+  speedup (the runner floor is 6x).  Its epoch windows are shorter
+  than ``LOCKSTEP_HUNT_TICKS``, so it replays no lockstep round.
 
 All runs are cross-checked for bit-identical statistics before any
 timing is trusted.
@@ -158,9 +158,10 @@ def test_governed_burst_speedup_at_least_5x():
 
     The occupancy-PI governor retunes the chip across epoch windows,
     so the compiled engine recompiles (and cache-reuses) its clock
-    plans mid-run while the compute-plane compilation and the shared
-    cross-engine lockstep plan cache keep working across retunes
-    (measured ~4.9-6.2x; the hard 6x contract is the runner floor).
+    plans mid-run while the compute-plane compilation keeps working
+    across retunes.  The epochs are too short to hunt lockstep rounds,
+    so none replays (measured ~6.4-6.7x; the hard 6x contract is the
+    runner floor).
     The bar was 5x until compiled DOU backpressure stalls made the
     reference engine about 19% faster on this scenario; it moved by
     that gain alone, since the compiled engine's time did not rise.

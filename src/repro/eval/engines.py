@@ -76,7 +76,10 @@ ENGINES = ("reference", "compiled")
 #: orbit batching.  governed_burst then fell 8.0 -> 6.0 when compiled
 #: DOU backpressure stalls sped up the *reference* engine (median
 #: time x0.75) while the compiled engine's time did not rise: a ratio
-#: floor moves only by the reference engine's measured gain.  The
+#: floor moves only by the reference engine's measured gain.
+#: governed_burst replays no lockstep round: its epoch windows are
+#: shorter than ``LOCKSTEP_HUNT_TICKS``, so its floor rests on the
+#: compute plane, clock-plan reuse and orbit batching.  The
 #: tighter bars live in ``benchmarks/test_engine_speedup.py``.  Smoke
 #: runs shrink the workloads until fixed costs dominate, so floors are
 #: not enforced under ``BENCH_SMOKE=1``.

@@ -214,18 +214,17 @@ LOCKSTEP_FAILURES = 8
 #: (a runaway governor sweeping operating points, not steady state).
 LOCKSTEP_PLAN_CAP = 256
 
-#: Recurrences of a safepoint signature, counted per chip structure
-#: across every engine in the process, before a recorder arms for it.
-#: On the cold governed corpus (CPython 3.11, 2-vCPU 2.1 GHz Xeon VM)
-#: a round build costs a median 0.32 ms per tick of its period, as
-#: much as dense-stepping the regime for about 40 rounds at 8.2 us
-#: per tick, and arming at the first recurrence built 456 plans of
-#: which 168 never completed a replay.  docs/engines.md gives the
-#: measurement and the sweep behind 16.
+#: Recurrences of a safepoint signature, counted per engine, before a
+#: recorder arms for it.  On the cold governed corpus (CPython 3.11,
+#: 2-vCPU 2.1 GHz Xeon VM) a round build costs a median 0.32 ms per
+#: tick of its period, as much as dense-stepping the regime for about
+#: 40 rounds at 8.2 us per tick, and arming at the first recurrence
+#: built 456 plans of which 168 never completed a replay.
+#: docs/engines.md gives the measurement and the sweep behind 16.
 LOCKSTEP_ARM_RECURRENCES = 16
 
-#: Dense windows this long hunt for lockstep rounds on any chip;
-#: shorter ones only on a structure seen before (``_hunt_scope``).
+#: Only dense windows this long hunt for lockstep rounds: a shorter
+#: one (every governed epoch) never repays the signatures and builds.
 LOCKSTEP_HUNT_TICKS = 1000
 
 #: Phase-boundary safepoints fall every ceil(256 / period) hyperperiods.
@@ -325,7 +324,7 @@ class _LockRecorder:
     """One armed lockstep recording: raw captures for a single round.
 
     Created once a safepoint signature has recurred
-    :data:`LOCKSTEP_ARM_RECURRENCES` times on this chip structure
+    :data:`LOCKSTEP_ARM_RECURRENCES` times in this engine
     (``recurrences`` keeps the count); records every dense-loop event
     - with the occupancy snapshots and per-DOU stat deltas the plan
     compiler needs - until the signature recurs, at which point
@@ -1015,18 +1014,10 @@ _ROUND_CODE_CACHE: dict = {}
 _SHARED_LOCK_PLANS: dict = {}
 _SHARED_LOCK_CAP = 1024
 
-# Safepoint-signature recurrences per ``(fingerprint, signature)``,
-# summed over every engine in the process; they gate recorder arming
-# at LOCKSTEP_ARM_RECURRENCES.  Counted per chip structure, not per
-# engine, so a regime that recurs a few times in each of many runs
-# (one engine per governed run) still earns its round.  Clears
-# completely at _SHARED_LOCK_CAP keys, like the plan caches.
-_LOCK_RECURRENCES: dict = {}
-
 # Structural fingerprints interned to small ints so shared-cache keys
 # stay cheap to hash; ints never repeat, so a cached one cannot alias
-# another structure's plans.  Every engine interns its own at its first
-# dense window, so membership says an earlier engine simulated it.
+# another structure's plans.  An engine interns its own only when a
+# long window first probes or publishes a shared plan.
 _FP_INTERN: dict = {}
 _FP_NEXT = count()
 
@@ -1096,6 +1087,9 @@ class CompiledEngine(Engine):
         #: retuning the clock tree gets a fresh plan per operating
         #: point and stale plans are unreachable by construction.
         self._lock_plans: dict = {}
+        #: lockstep signature -> recurrences seen by this engine; the
+        #: count gates recorder arming at LOCKSTEP_ARM_RECURRENCES.
+        self._lock_counts: dict = {}
         #: lazily-built communication-buffer universe shared by every
         #: lockstep recording: (deque tuple, capacity tuple, id->index).
         self._lock_universe = None
@@ -1103,10 +1097,8 @@ class CompiledEngine(Engine):
         #: object-id -> structural-path map for the shared plan cache.
         self._lock_fp = None
         self._lock_path_of = None
-        #: an earlier engine interned that fingerprint; the last dense
-        #: window's :meth:`_hunt_scope` verdict.
-        self._lock_warm = False
-        self._hunt = None
+        #: whether the last dense window hunted for lockstep rounds.
+        self._hunt = False
         #: highest tick any window has reached; a chip observed below
         #: it again means the run restarted under this engine.
         self._profile_mark = 0
@@ -1308,7 +1300,7 @@ class CompiledEngine(Engine):
         self, pre: tuple, start: int, end: int, phase: str
     ) -> None:
         """Emit the window's telemetry: one engine-track span with the
-        profile-counter deltas and a dense window's ``hunt`` scope, plus
+        profile-counter deltas and whether a dense window hunted, plus
         per-clock-domain tracks (divider rung, relock-gated stretch,
         cumulative issue/stall counters, halt instants)."""
         chip = self.chip
@@ -1441,11 +1433,10 @@ class CompiledEngine(Engine):
         round**: the same anchor signature (column pcs, pending/loop
         structure, credits, DOU states, hyperperiod phase) seen at two
         batch-event safepoints a whole number of hyperperiods apart.
-        :meth:`_hunt_scope` decides once, as the window opens, whether
-        it hunts; a window that does not takes no safepoint, since a
-        short window of a chip structure no engine has simulated
-        before never repays the signatures and the round builds.  A
-        hunting window's phase-boundary safepoints fall only every
+        Only a window of at least :data:`LOCKSTEP_HUNT_TICKS` hunts;
+        a shorter one takes no safepoint, since it never repays the
+        signatures and the round builds.  A hunting window's
+        phase-boundary safepoints fall only every
         ceil(:data:`LOCKSTEP_PHASE_TICKS` / period) hyperperiods.
         A signature without a plan here first probes the plans other
         engines of the same chip structure built
@@ -1453,9 +1444,8 @@ class CompiledEngine(Engine):
         rounds replays from the first sighting.  Otherwise detection
         is gated and two-phase, so short regimes build nothing and the
         steady state pays nothing: every recurrence adds one to the
-        signature's process-wide count for this structure
-        (:meth:`_lock_recurred`); the recurrence that brings it to
-        :data:`LOCKSTEP_ARM_RECURRENCES` *arms* a
+        signature's count in this engine; the recurrence that brings
+        it to :data:`LOCKSTEP_ARM_RECURRENCES` *arms* a
         :class:`_LockRecorder` that captures exactly one round richly
         (occupancy snapshots, per-DOU stat deltas, comm predicate
         inputs); the next recurrence builds the capture into a
@@ -1481,10 +1471,10 @@ class CompiledEngine(Engine):
         runners = self._runners
         profile = self._profile
         lock_plans = self._lock_plans
+        lock_counts = self._lock_counts
         sigs: dict = {}  # lockstep signature -> last tick seen
         armed = None     # _LockRecorder while capturing one round
-        self._hunt = self._hunt_scope(limit - start)
-        hunting = self._hunt != "cold"
+        hunting = self._hunt = limit - start >= LOCKSTEP_HUNT_TICKS
         # Phase safepoints fall on ticks that are multiples of stride.
         stride = -(-LOCKSTEP_PHASE_TICKS // period) * period
         live = sum(not column.halted for column in columns)
@@ -1567,7 +1557,7 @@ class CompiledEngine(Engine):
                 # this anchor, build one from an armed capture,
                 # or count a recurrence and arm a capture once the
                 # signature has recurred LOCKSTEP_ARM_RECURRENCES
-                # times on this chip structure.
+                # times in this engine.
                 # Attempted at every no-progress orbit batch AND at
                 # strided hyperperiod phase boundaries: a periodic
                 # *busy* regime (words moving every tick, so no
@@ -1622,7 +1612,7 @@ class CompiledEngine(Engine):
                                 lock_plans[sig] = built
                                 self._lock_share(sig, built)
                     elif sigs.get(sig, tick) < tick:
-                        seen = self._lock_recurred(sig)
+                        seen = lock_counts[sig] = lock_counts.get(sig, 0) + 1
                         if seen >= LOCKSTEP_ARM_RECURRENCES:
                             armed = _LockRecorder(
                                 sig, tick, seen,
@@ -1936,27 +1926,12 @@ class CompiledEngine(Engine):
                 caps,
             )
             fp = _FP_INTERN.get(key)
-            self._lock_warm = fp is not None
             if fp is None:
                 if len(_FP_INTERN) >= _SHARED_LOCK_CAP:
                     _FP_INTERN.clear()
                 fp = _FP_INTERN[key] = next(_FP_NEXT)
             self._lock_fp = fp
         return fp
-
-    def _hunt_scope(self, ticks: int) -> str:
-        """Whether a dense window of ``ticks`` may hunt for rounds.
-
-        ``"long"``: at least :data:`LOCKSTEP_HUNT_TICKS`, room for a
-        built round to replay.  ``"warm"``: shorter, but an earlier
-        engine in the process simulated this chip structure, so its
-        counts and shared plans help.  ``"cold"``: neither; the window
-        takes no safepoint (docs/engines.md gives the measurements).
-        """
-        self._lock_fingerprint()
-        if ticks >= LOCKSTEP_HUNT_TICKS:
-            return "long"
-        return "warm" if self._lock_warm else "cold"
 
     def _lock_paths(self) -> dict:
         """``id(obj) -> structural path`` over every bindable object."""
@@ -2037,19 +2012,6 @@ class CompiledEngine(Engine):
         plan = _RoundPlan(period, adds, source, checks, sites, fixups, binds)
         plan.gkey = key
         return plan
-
-    def _lock_recurred(self, sig) -> int:
-        """Count one more recurrence of ``sig`` on this chip structure.
-
-        Returns the process-wide total, which gates recorder arming at
-        :data:`LOCKSTEP_ARM_RECURRENCES`.
-        """
-        key = (self._lock_fingerprint(), sig)
-        seen = _LOCK_RECURRENCES.get(key, 0) + 1
-        if seen == 1 and len(_LOCK_RECURRENCES) >= _SHARED_LOCK_CAP:
-            _LOCK_RECURRENCES.clear()
-        _LOCK_RECURRENCES[key] = seen
-        return seen
 
     def _lock_signature(self, tick: int, period: int):
         """Safepoint fingerprint for lockstep round detection.

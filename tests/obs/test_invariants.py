@@ -111,16 +111,13 @@ def test_inactive_bus_overhead_under_two_percent(key):
 
 
 #: Untraced runs before the compared pair.  The process-wide lockstep
-#: tables (structures seen, recurrence counts, shared plans, round
-#: code) make a run's events depend on the runs before it until they
-#: settle.  ddc_pipeline's one run() window is long enough to hunt on
-#: a first-seen structure: its first run builds and compiles every
-#: round, and every later run replays them.  governed_burst's epoch
-#: windows are shorter than LOCKSTEP_HUNT_TICKS, so its first run
-#: hunts nothing; at smoke size its signatures then reach the 16
-#: recurrences that arm a round over the next three runs, and the
-#: round built last compiles at its first entry, in the fifth run.
-WARM_UPS = {"ddc_pipeline": 1, "governed_burst": 5}
+#: tables (shared plans, round code) make a run's events depend on the
+#: runs before it until they settle.  ddc_pipeline's one run() window
+#: is long enough to hunt: its first run builds and compiles every
+#: round, and every later run replays them from the shared plans.
+#: governed_burst's epoch windows are shorter than LOCKSTEP_HUNT_TICKS,
+#: so no run of it hunts and its first traced run already repeats.
+WARM_UPS = {"ddc_pipeline": 1, "governed_burst": 0}
 
 
 @pytest.mark.parametrize("key", ["ddc_pipeline", "governed_burst"])

@@ -18,14 +18,13 @@ tier:
 * a plan built by one engine is rebound through the shared
   cross-engine cache by a structurally identical fresh engine, which
   must produce the same statistics without ever recording;
-* a window shorter than ``LOCKSTEP_HUNT_TICKS`` hunts only on a chip
-  structure an earlier engine simulated (a first-seen governed run
-  takes no safepoint), and phase-boundary safepoints stride whole
-  hyperperiods at least ``LOCKSTEP_PHASE_TICKS`` apart;
+* a window shorter than ``LOCKSTEP_HUNT_TICKS`` never hunts (no
+  governed run takes a safepoint, however often its structure ran
+  before), and phase-boundary safepoints stride whole hyperperiods at
+  least ``LOCKSTEP_PHASE_TICKS`` apart;
 * a recorder arms only once a signature has recurred
-  ``LOCKSTEP_ARM_RECURRENCES`` times on a chip structure, so a short
-  regime compiles nothing until re-runs of the same structure have
-  proved it recurs;
+  ``LOCKSTEP_ARM_RECURRENCES`` times in one engine, so a short regime
+  compiles nothing;
 * a built round compiles at its first entry, exactly once per source
   (a round that never enters compiles nothing), and a round that
   stops mid-way settles exactly the writes its generated code had
@@ -33,7 +32,7 @@ tier:
 
 Every case is differential against the reference engine.  Tests that
 assert engagement start from empty process-wide lockstep tables, so
-no count or plan left by an earlier test can decide the outcome.
+no plan left by an earlier test can decide the outcome.
 """
 
 import builtins
@@ -173,11 +172,8 @@ def perturbed_differential(build, perturb, window: int) -> set:
     """Reference and compiled engines advanced window by window, the
     same perturbation applied to both chips between windows; every
     statistic must agree after every window.  Returns the
-    ``(event, reason)`` pairs the lockstep instants reported.
-
-    An earlier engine simulates the structure first: windows this
-    short hunt for rounds only on a structure seen before."""
-    CompiledEngine(build()).advance(window)
+    ``(event, reason)`` pairs the lockstep instants reported.  Windows
+    this short hunt for rounds only under :func:`hunt_every_window`."""
     chips = (build(), build())
     engines = (ReferenceEngine(chips[0]), CompiledEngine(chips[1]))
     reasons = set()
@@ -200,10 +196,15 @@ def perturbed_differential(build, perturb, window: int) -> set:
 
 @pytest.fixture
 def fresh_lockstep_tables(monkeypatch):
-    """Empty the process-wide recurrence counts, plans and codegen."""
-    for name in ("_LOCK_RECURRENCES", "_SHARED_LOCK_PLANS",
-                 "_FP_INTERN", "_ROUND_CODE_CACHE"):
+    """Empty the process-wide shared plans, fingerprints and codegen."""
+    for name in ("_SHARED_LOCK_PLANS", "_FP_INTERN", "_ROUND_CODE_CACHE"):
         monkeypatch.setattr(engine_module, name, {})
+
+
+@pytest.fixture
+def hunt_every_window(monkeypatch):
+    """Let windows shorter than ``LOCKSTEP_HUNT_TICKS`` hunt too."""
+    monkeypatch.setattr(engine_module, "LOCKSTEP_HUNT_TICKS", 0)
 
 
 @pytest.fixture
@@ -265,7 +266,7 @@ def test_lockstep_rounds_engage_on_steady_stream():
 
 
 # ----------------------------------------------------------------------
-# hunting scope: short windows hunt only on a structure seen before
+# hunting: only long windows take safepoints
 # ----------------------------------------------------------------------
 def counting_signatures(monkeypatch) -> list:
     """Ticks of every lockstep safepoint signature taken."""
@@ -309,27 +310,21 @@ def governed_stream(engine):
 
 @pytest.mark.usefixtures("fresh_lockstep_tables")
 def test_first_seen_governed_run_hunts_nothing(monkeypatch, round_compiles):
-    """A structure's first engine takes no safepoint in its epochs; the
-    next engine of the same structure hunts them and replays rounds."""
+    """Epochs are shorter than ``LOCKSTEP_HUNT_TICKS``, so neither a
+    structure's first governed run nor a repeat of it takes a
+    safepoint, compiles a round or fingerprints its programs."""
     reference, _, _ = governed_stream("reference")
     signatures = counting_signatures(monkeypatch)
-    first, engine, hunts = governed_stream("compiled")
-    assert (first.stats, first.timeline) == (
-        reference.stats, reference.timeline,
-    )
-    assert signatures == [] and round_compiles == []
-    assert engine.profile_snapshot()["lockstep_batches"] == 0
-    # Every epoch is cold; the closing run() window spans no tick.
-    assert hunts[:-1] == ["cold"] * (len(hunts) - 1)
-    assert hunts[-1] == "long"
-
-    second, engine, hunts = governed_stream("compiled")
-    assert (second.stats, second.timeline) == (
-        reference.stats, reference.timeline,
-    )
-    assert signatures and round_compiles
-    assert engine.profile_snapshot()["lockstep_batches"] > 0
-    assert set(hunts[:-1]) == {"warm"}
+    for _ in range(2):
+        run, engine, hunts = governed_stream("compiled")
+        assert (run.stats, run.timeline) == (
+            reference.stats, reference.timeline,
+        )
+        assert signatures == [] and round_compiles == []
+        assert engine.profile_snapshot()["lockstep_batches"] == 0
+        assert engine._lock_fp is None and not engine_module._FP_INTERN
+        # No epoch hunts; the closing run() window spans no tick.
+        assert hunts == [False] * (len(hunts) - 1) + [True]
 
 
 @pytest.mark.usefixtures("fresh_lockstep_tables")
@@ -344,7 +339,7 @@ def test_first_seen_long_run_still_builds_rounds(round_compiles):
     engine = CompiledEngine(build_streaming_pair())
     with subscribed(collect):
         assert engine.run(max_ticks=100_000) == reference
-    assert hunts == ["long"]
+    assert hunts == [True]
     assert round_compiles and engine_module._SHARED_LOCK_PLANS
     assert engine.profile_snapshot()["lockstep_batches"] > 0
 
@@ -372,7 +367,7 @@ def test_phase_safepoints_stride_whole_hyperperiods(monkeypatch):
 # ----------------------------------------------------------------------
 # retune mid-lap: plans invalidate and rebuild across divider tuples
 # ----------------------------------------------------------------------
-@pytest.mark.usefixtures("fresh_lockstep_tables")
+@pytest.mark.usefixtures("fresh_lockstep_tables", "hunt_every_window")
 def test_every_epoch_retune_differential():
     """A retune on every epoch boundary lands mid-lap by design.
 
@@ -384,14 +379,6 @@ def test_every_epoch_retune_differential():
     patterns = [(4, 2), (8, 4), (2, 2)]
     governed = {}
     engines = {}
-    # Epochs this short hunt only on a structure seen before: one
-    # earlier run of it lets the measured engine's epochs hunt.
-    run_governed(
-        build_streaming_pair(samples=192), EveryEpochToggler(patterns),
-        engine="compiled", epoch_ticks=128,
-        transition_model=TransitionModel(relock_us=0.01),
-        max_ticks=400_000,
-    )
     for engine_name in ("reference", "compiled"):
         chip = build_streaming_pair(samples=192)
         driver = (
@@ -512,74 +499,15 @@ def test_short_regime_compiles_no_round(round_compiles):
     assert engine.run(max_ticks=100_000) == reference
     assert round_compiles == []
     assert not engine_module._SHARED_LOCK_PLANS
-    counts = engine_module._LOCK_RECURRENCES.values()
+    counts = engine._lock_counts.values()
     assert 0 < max(counts) < LOCKSTEP_ARM_RECURRENCES
-
-
-@pytest.mark.usefixtures("fresh_lockstep_tables")
-def test_recurrence_counts_carry_across_engines(
-    monkeypatch, round_compiles,
-):
-    """Re-runs of one structure pool their recurrences.
-
-    Each run of the short chip adds its recurrences to the same
-    per-structure count, so some run arms the recorder and publishes
-    a plan; every engine after that replays it from the signature's
-    first sighting, with nothing recorded, built or compiled.
-    """
-    reference = Simulator(
-        build_streaming_pair(samples=SHORT_SAMPLES), engine="reference"
-    ).run(max_ticks=100_000)
-    runs = 0
-    while not engine_module._SHARED_LOCK_PLANS:
-        runs += 1
-        assert runs <= LOCKSTEP_ARM_RECURRENCES
-        engine = CompiledEngine(
-            build_streaming_pair(samples=SHORT_SAMPLES)
-        )
-        assert engine.run(max_ticks=100_000) == reference
-    assert runs > 1  # one run alone never reached the arming count
-    assert len(round_compiles) == len(engine_module._SHARED_LOCK_PLANS)
-
-    builds = []
-    original_build = engine_module._build_lock_plan
-
-    def counting_build(*args):
-        builds.append(args[1])
-        return original_build(*args)
-
-    monkeypatch.setattr(engine_module, "_build_lock_plan", counting_build)
-    probe_hits = counting_probe_hits(monkeypatch)
-    round_compiles.clear()
-    later = CompiledEngine(build_streaming_pair(samples=SHORT_SAMPLES))
-    assert later.run(max_ticks=100_000) == reference
-    assert probe_hits
-    assert later.profile_snapshot()["lockstep_batches"] > 0
-    assert builds == []
-    assert round_compiles == []
-
-
-def test_recurrence_table_clears_at_its_cap(monkeypatch):
-    """The process-wide count table is bounded like the plan caches."""
-    cap = engine_module._SHARED_LOCK_CAP
-    table = {("stale", index): 1 for index in range(cap - 1)}
-    monkeypatch.setattr(engine_module, "_LOCK_RECURRENCES", table)
-    monkeypatch.setattr(engine_module, "_FP_INTERN", {})
-    engine = CompiledEngine(build_streaming_pair())
-    assert engine._lock_recurred("a") == 1
-    assert len(table) == cap
-    # A known key only counts up; a new key at the cap clears first.
-    assert engine._lock_recurred("a") == 2
-    assert len(table) == cap
-    assert engine._lock_recurred("b") == 1
-    assert table == {(engine._lock_fingerprint(), "b"): 1}
 
 
 def test_fingerprint_intern_clears_at_its_cap(monkeypatch):
     """The fingerprint table is bounded, and no fingerprint repeats.
 
     A reused int would let a live engine's cached fingerprint reach a
-    later structure's shared plans and recurrence counts.
+    later structure's shared plans.
     """
     cap = engine_module._SHARED_LOCK_CAP
     table = {("stale", index): -1 - index for index in range(cap)}
@@ -587,11 +515,11 @@ def test_fingerprint_intern_clears_at_its_cap(monkeypatch):
     first = CompiledEngine(build_streaming_pair())
     fp = first._lock_fingerprint()
     assert list(table.values()) == [fp]  # a new key at the cap clears
-    warm = CompiledEngine(build_streaming_pair())
-    assert warm._lock_fingerprint() == fp and warm._lock_warm
+    same = CompiledEngine(build_streaming_pair())
+    assert same._lock_fingerprint() == fp
     table.clear()
     again = CompiledEngine(build_streaming_pair())
-    assert again._lock_fingerprint() != fp and not again._lock_warm
+    assert again._lock_fingerprint() != fp
     other = CompiledEngine(build_streaming_pair(capacity=16))
     assert other._lock_fingerprint() not in (
         fp, again._lock_fingerprint(),
@@ -639,9 +567,9 @@ def test_lockstep_build_instant_per_built_plan():
         assert event.track == "engine"
         assert event.args["compiled"] is True
 
-    # Evict the shared plans: the counts already pass the gate, so the
-    # next engine arms at its first recurrence and rebuilds the same
-    # source without compiling it.
+    # Evict the shared plans: the next engine counts its own
+    # recurrences, arms at the same gate and rebuilds the same source
+    # without compiling it.
     engine_module._SHARED_LOCK_PLANS.clear()
     first_run = len(builds)
     first_compiles = len(compiles)
@@ -650,7 +578,7 @@ def test_lockstep_build_instant_per_built_plan():
         again.run(max_ticks=100_000)
     assert len(builds) > first_run
     for event in builds[first_run:]:
-        assert event.args["recurrences"] > LOCKSTEP_ARM_RECURRENCES
+        assert event.args["recurrences"] == LOCKSTEP_ARM_RECURRENCES
     assert len(compiles) > first_compiles
     for event in compiles[first_compiles:]:
         assert event.args["compiled"] is False
@@ -731,7 +659,7 @@ def test_entered_round_compiles_once_across_engines(
     assert round_compiles == []
 
 
-@pytest.mark.usefixtures("fresh_lockstep_tables")
+@pytest.mark.usefixtures("fresh_lockstep_tables", "hunt_every_window")
 @pytest.mark.parametrize("dividers, window, words, reasons", [
     # Occupancy drift: entry checks fail, rounds still replay.
     ((4, 2, 2), 48, 20, {"occupancy"}),
@@ -767,7 +695,7 @@ def test_mid_round_aborts_settle_deferred_writes(
     assert {reason for _event, reason in seen} >= reasons
 
 
-@pytest.mark.usefixtures("fresh_lockstep_tables")
+@pytest.mark.usefixtures("fresh_lockstep_tables", "hunt_every_window")
 def test_abort_instants_name_the_failed_check(monkeypatch):
     """``lockstep_abort`` and ``lockstep_replay`` say why a round
     stopped: a forced entry failure reports its entry check at item 0,

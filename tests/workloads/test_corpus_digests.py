@@ -6,12 +6,16 @@ statistics, epoch timeline, transitions, deadline misses, gate
 segments, rail wakes and rounded ledger energy
 (:func:`repro.workloads.generate.case_digest`).  Tier-1 checks seed 11,
 indices 0..14 - one case per app x topology class - on the reference
-engine and on the compiled engine with its lockstep hunting scope as
-shipped, forced on in every window and forced off, so a change to how
-the compiled engine steps cannot move a statistic unseen.  Each run
-also counts the DOU interpreter's calls: every cycle of the corpus,
-backpressure included, has a compiled per-state path, so none may
-reach ``Dou._step_generic``.  CI's fuzz lane checks all 120 cases
+engine and on the compiled engine with lockstep hunting as shipped,
+forced on in every window (``LOCKSTEP_HUNT_TICKS`` 0) and forced off
+(infinite), so a change to how the compiled engine steps cannot move a
+statistic unseen.  Each run also counts lockstep safepoint signatures
+and replayed rounds: governed epochs are shorter than
+``LOCKSTEP_HUNT_TICKS``, so as shipped the corpus takes no safepoint,
+while forced-on hunting must really replay rounds.  It counts the DOU
+interpreter's calls too: every cycle of the corpus, backpressure
+included, has a compiled per-state path, so none may reach
+``Dou._step_generic``.  CI's fuzz lane checks all 120 cases
 with ``tools/corpus_digests.py``, which also rewrites the file after
 a deliberate change.
 """
@@ -22,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.arch.dou import Dou
+from repro.sim import engine as engine_module
 from repro.sim.engine import CompiledEngine
 from repro.workloads.generate import case_digest
 
@@ -32,25 +37,38 @@ SEED = 11
 CLASSES = 15
 
 
-@pytest.mark.parametrize("engine, hunt", [
+@pytest.mark.parametrize("engine, hunt_ticks", [
     ("reference", None),
     ("compiled", None),
-    ("compiled", "long"),
-    ("compiled", "cold"),
+    ("compiled", 0),
+    ("compiled", float("inf")),
 ], ids=["reference", "compiled", "compiled-hunt-on", "compiled-hunt-off"])
-def test_corpus_matches_golden_digests(monkeypatch, engine, hunt):
-    if hunt is not None:
-        monkeypatch.setattr(
-            CompiledEngine, "_hunt_scope", lambda self, ticks: hunt
-        )
+def test_corpus_matches_golden_digests(monkeypatch, engine, hunt_ticks):
+    if hunt_ticks is not None:
+        monkeypatch.setattr(engine_module, "LOCKSTEP_HUNT_TICKS", hunt_ticks)
     interpreted = []
+    signatures = []
+    rounds = []
     generic = Dou._step_generic
+    signature = CompiledEngine._lock_signature
+    replay = CompiledEngine._lock_replay
 
     def counted(self):
         interpreted.append(self.program.name)
         return generic(self)
 
+    def counted_signature(self, tick, period):
+        signatures.append(tick)
+        return signature(self, tick, period)
+
+    def counted_replay(self, *args):
+        tick, done = replay(self, *args)
+        rounds.append(done)
+        return tick, done
+
     monkeypatch.setattr(Dou, "_step_generic", counted)
+    monkeypatch.setattr(CompiledEngine, "_lock_signature", counted_signature)
+    monkeypatch.setattr(CompiledEngine, "_lock_replay", counted_replay)
     moved = [
         f"(seed {SEED}, index {index})"
         for index in range(CLASSES)
@@ -65,6 +83,13 @@ def test_corpus_matches_golden_digests(monkeypatch, engine, hunt):
         f"{len(interpreted)} DOU cycles fell back to the interpreter "
         f"on the {engine} engine, the first in {interpreted[0]}"
     )
+    if hunt_ticks == 0:
+        assert sum(rounds) > 0, "forced-on hunting replayed no round"
+    else:
+        assert not signatures, (
+            f"the governed corpus took {len(signatures)} lockstep "
+            f"safepoint signatures; its epochs should not hunt"
+        )
 
 
 def test_golden_file_covers_both_seeds():
