@@ -8,7 +8,7 @@ simulation-backed divider sweep through the batched run API:
   the 256-bit bus;
 * Figures 9/10 - which parallelization survives leaky processes;
 * a cycle-level clock-divider sweep batched through
-  ``repro.sim.batch.run_many`` with its content-hash result cache.
+  ``repro.sim.batch.run_many`` as supervised jobs.
 
     python examples/design_space_exploration.py
 """
@@ -16,7 +16,8 @@ simulation-backed divider sweep through the batched run API:
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.isa.assembler import assemble
 from repro.power import PowerModel
-from repro.sim.batch import ResultCache, RunRequest, run_many
+from repro.sim.batch import RunRequest, run_many
+from repro.sim.resilience import require_ok
 from repro.tech.parameters import PAPER_TECHNOLOGY
 from repro.workloads import LeakageStudy, ViterbiBusStudy, parallel_studies
 
@@ -101,19 +102,13 @@ def divider_sweep() -> None:
         )
         for divider in (1, 2, 4, 8)
     ]
-    cache = ResultCache()
-    results = run_many(requests, cache=cache)
-    # A second pass is free: every point is served from the cache.
-    results = run_many(requests, cache=cache)
+    outcomes = require_ok(run_many(requests))
     print("\nSame program, second column progressively slower:")
-    for result in results:
-        slow = result.stats.column(1)
-        print(f"  {result.label:18s} {result.stats.reference_ticks:6d} "
-              f"reference ticks, column-1 issue rate "
-              f"{slow.issue_rate:5.2f}"
-              f"{'  [cached]' if result.cached else ''}")
-    print(f"\ncache: {cache.hits} hits / {cache.misses} misses - "
-          f"re-sweeping a design space only pays for novel points.")
+    for outcome in outcomes:
+        slow = outcome.stats.column(1)
+        print(f"  {outcome.label:18s} "
+              f"{outcome.stats.reference_ticks:6d} reference ticks, "
+              f"column-1 issue rate {slow.issue_rate:5.2f}")
 
 
 def main() -> None:

@@ -290,15 +290,6 @@ class Dou:
             )
         self.cycles += n_cycles
 
-    def is_quiescent(self) -> bool:
-        """Whether the machine has entered a closed transfer-free orbit.
-
-        Monotonic: once true it stays true forever (the quiescent set
-        is closed under execution), and :meth:`fast_forward` may then
-        account any number of its cycles.
-        """
-        return self.state_index in self.program.quiescent_states
-
     def stall_orbit(self):
         """The per-lap effects of the current no-progress orbit, or None.
 

@@ -488,11 +488,6 @@ class GateSegment:
         return self.end_tick - self.start_tick
 
 
-def _is_quiescent(activity) -> bool:
-    """Whether a window recorded no issue and no bus word."""
-    return activity.issued == 0 and activity.bus_words == 0
-
-
 def plan_power_gating(timeline: Sequence) -> tuple:
     """Candidate gate segments of a governed run's epoch timeline.
 
@@ -524,7 +519,8 @@ def plan_power_gating(timeline: Sequence) -> tuple:
     for column in range(n_columns):
         start = None
         for position, epoch in enumerate(timeline):
-            quiet = _is_quiescent(epoch.column_activity[column])
+            activity = epoch.column_activity[column]
+            quiet = activity.issued == 0 and activity.bus_words == 0
             if quiet and start is None:
                 start = position
             elif not quiet and start is not None:

@@ -68,9 +68,9 @@ Every BENCH artifact carries a ``telemetry`` block - event counts by
 kind and category from the run's bus subscription plus the
 traced/untraced overhead ratio where one was measured - and an
 ``outcomes`` block tallying supervised-job results (settled jobs,
-retries, timeouts, crashes, degradations, cache quarantines), both
-stamped by :func:`emit_artifact`, the single emit path all five
-evaluations share.  ``tools/check_artifact.py`` checks a written
+retries, timeouts, crashes, failures, degradations), both stamped by
+:func:`emit_artifact`, the single emit path all five evaluations
+share.  ``tools/check_artifact.py`` checks a written
 artifact against the rules its producing module owns.
 """
 
@@ -135,7 +135,8 @@ def run_measured(names: list | None = None, processes: int | None = 1) -> dict:
     """{experiment id: measured render} plus the BENCH payload.
 
     The kernel simulations behind every measured render share one
-    :func:`repro.sim.batch.run_many` batch (memoized process-wide),
+    :func:`repro.sim.batch.run_many` batch (each kernel's activity is
+    memoized process-wide),
     so Table 4, Figure 6, and the Figure 8 sweep price each kernel
     run once, on ``processes`` workers.  Returns the rendered texts
     under their experiment ids and the JSON payload under
@@ -207,8 +208,8 @@ def emit_artifact(
     distinguish "nothing subscribed" from "field missing".
 
     Also stamps the run's job-outcome tallies (settled jobs, retries,
-    timeouts, worker crashes, engine degradations, cache quarantines)
-    from :func:`repro.sim.resilience.outcomes_snapshot` under
+    timeouts, worker crashes, failures, engine degradations) from
+    :func:`repro.sim.resilience.outcomes_snapshot` under
     ``outcomes`` - a benchmark artifact produced by a run that
     silently retried or degraded jobs is not comparable, and
     ``tools/check_artifact.py`` holds the line in CI

@@ -114,14 +114,6 @@ _SIGNATURES = {
 }
 
 
-#: Field names pickled by Instruction.__getstate__ (the dataclass
-#: fields, excluding any cached_property values sharing __dict__).
-_SIGNATURE_FIELDS = (
-    "opcode", "dst", "srcs", "imm", "target", "ptr", "offset",
-    "post_increment", "mask",
-)
-
-
 @dataclass(frozen=True)
 class Instruction:
     """One decoded instruction.
@@ -162,21 +154,6 @@ class Instruction:
             raise AssemblyError(f"tile mask {self.mask:#x} out of range")
         if self.opcode is Opcode.LOOP and (self.imm is None or self.imm < 1):
             raise AssemblyError("loop count must be at least 1")
-
-    def __getstate__(self) -> dict:
-        """Pickle only the declared fields.
-
-        ``cached_property`` values share the instance ``__dict__``;
-        letting them into the pickle stream would make content-hash
-        caches (``repro.sim.batch``) see two byte representations of
-        one instruction depending on what has been executed so far.
-        """
-        names = _SIGNATURE_FIELDS
-        state = self.__dict__
-        return {name: state[name] for name in names}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     @cached_property
     def is_control(self) -> bool:

@@ -11,12 +11,10 @@ Two engines implement that contract (:mod:`repro.sim.engine`): the
 tick-accurate ``ReferenceEngine`` and the hyperperiod-compiled
 ``CompiledEngine``, which skips statically dead reference ticks.
 :mod:`repro.sim.batch` runs many chip configurations as supervised
-jobs (:mod:`repro.sim.resilience`) behind a content-hash result cache.
+jobs (:mod:`repro.sim.resilience`).
 """
 
 from repro.sim.batch import (
-    BatchResult,
-    ResultCache,
     RunRequest,
     parallel_map,
     run_many,
@@ -28,17 +26,12 @@ from repro.sim.engine import (
     create_engine,
 )
 from repro.sim.faultinject import FaultInjector, FaultSpec
-from repro.sim.resilience import (
-    FaultPolicy,
-    JobOutcome,
-    run_many_outcomes,
-)
+from repro.sim.resilience import FaultPolicy, JobOutcome, require_ok
 from repro.sim.simulator import Simulator, run_single_column
 from repro.sim.stats import ColumnStats, SimulationStats
 from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
-    "BatchResult",
     "CompiledEngine",
     "Engine",
     "FaultInjector",
@@ -46,13 +39,12 @@ __all__ = [
     "FaultSpec",
     "JobOutcome",
     "ReferenceEngine",
-    "ResultCache",
     "RunRequest",
     "Simulator",
     "create_engine",
     "parallel_map",
+    "require_ok",
     "run_many",
-    "run_many_outcomes",
     "run_single_column",
     "ColumnStats",
     "SimulationStats",

@@ -1099,9 +1099,6 @@ class CompiledEngine(Engine):
         self._lock_path_of = None
         #: whether the last dense window hunted for lockstep rounds.
         self._hunt = False
-        #: highest tick any window has reached; a chip observed below
-        #: it again means the run restarted under this engine.
-        self._profile_mark = 0
         #: wall-clock attribution is collected only when
         #: ``profile_enabled`` is set; the event counters are always
         #: maintained (they sit off the per-tick hot path).
@@ -1158,31 +1155,6 @@ class CompiledEngine(Engine):
         data["vector_iterations"] = iterations
         return data
 
-    def reset_profile(self) -> None:
-        """Zero phase timings and event counters for a fresh run.
-
-        ``compile_s`` is kept - construction happened once and stays
-        attributable.  The per-column runner counters fold into
-        :meth:`profile_snapshot`, so they are reset too.  Called
-        automatically when :meth:`advance` observes the chip below the
-        last settled tick (a restarted run under a reused engine);
-        callers sharing one engine across measured runs may also call
-        it directly.
-        """
-        profile = self._profile
-        for key, value in profile.items():
-            if key == "compile_s":
-                continue
-            profile[key] = 0.0 if isinstance(value, float) else 0
-        for runner in self._runners:
-            if runner is None:
-                continue
-            runner.calls = 0
-            runner.edges = 0
-            runner.vector_batches = 0
-            runner.vector_iterations = 0
-        self._profile_mark = self.chip.reference_ticks
-
     def _plan(self) -> _ClockPlan:
         """The compiled activity schedule for the current dividers.
 
@@ -1202,14 +1174,7 @@ class CompiledEngine(Engine):
         if ticks <= 0 or self.chip.all_halted:
             return 0
         start = self.chip.reference_ticks
-        if start < self._profile_mark:
-            # The chip sits below a tick this engine already settled:
-            # the run restarted (rewound/rebuilt chip under a reused
-            # engine).  Stale counters would double-count the old run.
-            self.reset_profile()
-        end = self._stride_window(start + ticks)
-        self._profile_mark = end
-        return end - start
+        return self._stride_window(start + ticks) - start
 
     def run(
         self,
@@ -1223,8 +1188,6 @@ class CompiledEngine(Engine):
                 drain_hyperperiods,
             )
         start = self.chip.reference_ticks
-        if start < self._profile_mark:
-            self.reset_profile()
         end = self._stride_window(start + max_ticks)
         # The reference loop spends one budget iteration *observing*
         # all_halted after the final step, so a chip halting on the
@@ -1232,7 +1195,6 @@ class CompiledEngine(Engine):
         if end - start >= max_ticks:
             raise _budget_error(max_ticks)
         self._drain(drain_hyperperiods * self._plan().period)
-        self._profile_mark = self.chip.reference_ticks
         return collect(self.chip)
 
     # ------------------------------------------------------------------

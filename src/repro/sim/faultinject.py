@@ -2,14 +2,14 @@
 
 The chaos harness needs faults that are *reproducible*: the same seed
 against the same sweep must kill the same workers, delay the same
-jobs, and corrupt the same cache entries on every run, so a failing
+jobs, and fault the same engine runs on every run, so a failing
 CI matrix cell can be replayed locally byte for byte.  Every decision
 here is therefore a pure function of ``(seed, fault kind, job key,
 attempt)`` - no RNG state, nothing time-dependent - which also
 lets an injector travel to worker processes by pickling without
 losing determinism.
 
-Four fault classes cover the failure surface the supervision layer
+Three fault classes cover the failure surface the supervision layer
 (:mod:`repro.sim.resilience`) defends against:
 
 ``kill_worker``
@@ -25,11 +25,6 @@ Four fault classes cover the failure surface the supervision layer
     :class:`~repro.errors.SimulationError` mid-phase, exercising the
     retry-on-:class:`~repro.sim.engine.ReferenceEngine` degradation
     ladder.
-
-``corrupt_cache``
-    On-disk :class:`~repro.sim.batch.ResultCache` entries get a byte
-    flipped (position chosen from the seed), exercising checksum
-    verification and quarantine.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import ReproError
 
@@ -48,13 +42,10 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "InjectedWorkerCrash",
-    "corrupt_file_bytes",
 ]
 
 #: The injectable fault classes, in ladder order.
-FAULT_KINDS = (
-    "kill_worker", "delay_job", "raise_in_engine", "corrupt_cache",
-)
+FAULT_KINDS = ("kill_worker", "delay_job", "raise_in_engine")
 
 #: Exit code an injected worker kill dies with - distinctive enough
 #: that a supervisor log line identifies the chaos harness at a
@@ -117,25 +108,6 @@ def _fraction(seed: int, kind: str, key: str, attempt: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2 ** 64
 
 
-def corrupt_file_bytes(path: str | Path, seed: int) -> int:
-    """Flip one byte of ``path`` at a seed-determined offset.
-
-    Returns the flipped offset.  An empty file gains one garbage
-    byte so the corruption is visible to checksums either way.
-    """
-    path = Path(path)
-    blob = bytearray(path.read_bytes())
-    if not blob:
-        blob = bytearray(b"\xff")
-        path.write_bytes(bytes(blob))
-        return 0
-    digest = hashlib.sha256(f"{seed}:{path.name}".encode()).digest()
-    position = int.from_bytes(digest[:4], "big") % len(blob)
-    blob[position] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    return position
-
-
 class FaultInjector:
     """Seeded fault oracle consulted by the supervision layer.
 
@@ -179,7 +151,7 @@ class FaultInjector:
                 os._exit(KILL_EXIT_CODE)
             raise InjectedWorkerCrash(
                 f"fault injector killed the worker running job "
-                f"{label or key[:12]!r} (attempt {attempt})"
+                f"{label!r} (attempt {attempt})"
             )
         spec = self.fires("delay_job", key, attempt)
         if spec is not None:
@@ -188,21 +160,3 @@ class FaultInjector:
     def engine_fault(self, key: str, attempt: int) -> FaultSpec | None:
         """The armed ``raise_in_engine`` spec for this attempt, if any."""
         return self.fires("raise_in_engine", key, attempt)
-
-    def corrupt_cache(self, cache) -> list:
-        """Corrupt armed on-disk entries of a ResultCache.
-
-        Flips one byte in each ``.stats`` payload whose key the
-        ``corrupt_cache`` spec selects (the checksum sidecar is left
-        intact, so verification must catch the damage).  Returns the
-        corrupted keys; a memory-only cache corrupts nothing.
-        """
-        if cache.directory is None:
-            return []
-        corrupted = []
-        for path in sorted(cache.directory.glob("*.stats")):
-            key = path.name[: -len(".stats")]
-            if self.fires("corrupt_cache", key, 1) is not None:
-                corrupt_file_bytes(path, self.seed)
-                corrupted.append(key)
-        return corrupted

@@ -3,9 +3,8 @@
 Every sweep in this package goes through :func:`supervise`: the fuzz
 sweep, the table renders and the bus-width explorer through
 :func:`repro.sim.batch.parallel_map`, and RunRequest kernel batches
-through :func:`run_many_outcomes` (which
-:func:`repro.sim.batch.run_many` rides on).  A :class:`Job` is
-``fn(item)`` with a label and a deterministic key, and supervision
+through :func:`repro.sim.batch.run_many`.  A :class:`Job` is
+``fn(item)`` with a label and a key hashed from it, and supervision
 settles each one into a typed :class:`JobOutcome` instead of a raised
 exception:
 
@@ -23,19 +22,19 @@ exception:
   unaffected and the crashed job is rescheduled on a fresh worker.
 * **Fallback input** - a job may carry a second input that ``fn``
   runs on, within the same attempt, when the first call raises.
-  :func:`run_many_outcomes` gives every compiled-engine request its
-  reference-engine twin, so a
+  :func:`~repro.sim.batch.run_many` gives every compiled-engine
+  request its reference-engine twin, so a
   :class:`~repro.sim.engine.CompiledEngine` internal error settles
   ``degraded``, mirroring the engine's own lockstep
   abort-and-fall-back ladder.  Bit-identity between the two engines
   is a standing contract, so a degraded sweep still returns correct
   statistics - just slower.
 
-Every retry, timeout, crash, degradation, and cache quarantine is
-emitted on the :data:`repro.obs.events.BUS` (category ``batch``,
-track ``jobs``) and tallied process-wide; :func:`outcomes_snapshot`
-is the block the evaluation runner stamps into every ``BENCH_*``
-artifact, and :func:`check_outcomes` is the rule it is held to.
+Every retry, timeout, crash, and degradation is emitted on the
+:data:`repro.obs.events.BUS` (category ``batch``, track ``jobs``) and
+tallied process-wide; :func:`outcomes_snapshot` is the block the
+evaluation runner stamps into every ``BENCH_*`` artifact, and
+:func:`check_outcomes` is the rule it is held to.
 """
 
 from __future__ import annotations
@@ -43,14 +42,13 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _wait_ready
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import BatchError, SimulationError
 from repro.obs.events import BUS
-from repro.sim.batch import ResultCache, RunRequest, execute, request_key
 from repro.sim.faultinject import InjectedWorkerCrash
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "outcomes_snapshot",
     "require_ok",
     "reset_outcome_counters",
-    "run_many_outcomes",
     "set_default_policy",
     "supervise",
 ]
@@ -128,16 +125,15 @@ class JobOutcome:
     ``stats`` holds the job's result (the
     :class:`~repro.sim.stats.SimulationStats` of a RunRequest) and is
     present exactly when :attr:`ok` (statuses ``ok`` and
-    ``degraded``).  ``attempts`` counts executions (0 for a pure
-    cache hit); ``retries`` is ``attempts - 1`` floored at zero.
-    ``error`` summarizes the *last* failure for non-ok outcomes.
+    ``degraded``).  ``attempts`` counts executions; ``retries`` is
+    ``attempts - 1``.  ``error`` summarizes the *last* failure for
+    non-ok outcomes.
     """
 
     label: str
     key: str
     status: str
     stats: object = None
-    cached: bool = False
     attempts: int = 0
     retries: int = 0
     degraded: bool = False
@@ -152,25 +148,23 @@ class JobOutcome:
 class Job:
     """One unit of supervised work: ``fn(item)``.
 
-    ``label`` names the job in events and errors.  ``key`` is
-    deterministic for the job (backoff jitter and fault injection are
-    pure functions of it); by default it hashes the label, never the
-    item, so an in-process job need not pickle.  ``fallback``, when
-    not ``None``, is the input ``fn`` runs on within the same attempt
-    if ``fn(item)`` raises; a result computed from it settles
-    ``degraded``.
+    ``label`` names the job in events and errors.  ``key`` is the
+    SHA-256 of the label (backoff jitter and fault injection are pure
+    functions of it); it never hashes the item, so an in-process job
+    need not pickle.  ``fallback``, when not ``None``, is the input
+    ``fn`` runs on within the same attempt if ``fn(item)`` raises; a
+    result computed from it settles ``degraded``.
     """
 
     __slots__ = ("fn", "item", "label", "key", "fallback", "attempts",
                  "ready_at")
 
     def __init__(self, fn: Callable, item, label: str,
-                 key: str | None = None, fallback=None) -> None:
+                 fallback=None) -> None:
         self.fn = fn
         self.item = item
         self.label = label
-        self.key = key if key is not None \
-            else hashlib.sha256(label.encode()).hexdigest()
+        self.key = hashlib.sha256(label.encode()).hexdigest()
         self.fallback = fallback
         self.attempts = 0
         self.ready_at = 0.0
@@ -202,7 +196,7 @@ def backoff_delay(
 
 _COUNTER_FIELDS = (
     "ok", "degraded", "failed", "timed_out", "worker_crashed",
-    "retries", "cache_quarantined",
+    "retries",
 )
 #: The tallies that count a fault; a clean run keeps them all zero.
 _FAULT_FIELDS = tuple(field for field in _COUNTER_FIELDS if field != "ok")
@@ -214,12 +208,11 @@ def outcomes_snapshot() -> dict:
 
     Keys are stable (:func:`check_outcomes` validates them): ``ok``,
     ``degraded``, ``failed``, ``timed_out``, ``worker_crashed``,
-    ``retries``, ``cache_quarantined``.  The success classes (``ok``,
-    ``degraded``) count settled *jobs*; the failure classes count
-    failed *attempts* (so a fault that was retried away is still
-    visible, classified); ``retries`` counts rescheduled attempts and
-    ``cache_quarantined`` evicted corrupt cache entries.  A fault-free
-    run has every key but ``ok`` at zero.
+    ``retries``.  The success classes (``ok``, ``degraded``) count
+    settled *jobs*; the failure classes count failed *attempts* (so a
+    fault that was retried away is still visible, classified);
+    ``retries`` counts rescheduled attempts.  A fault-free run has
+    every key but ``ok`` at zero.
     """
     return dict(_COUNTERS)
 
@@ -229,11 +222,6 @@ def reset_outcome_counters() -> None:
     _COUNTERS.update(dict.fromkeys(_COUNTER_FIELDS, 0))
 
 
-def note_cache_quarantine() -> None:
-    """Called by ResultCache when it quarantines a corrupt entry."""
-    _COUNTERS["cache_quarantined"] += 1
-
-
 def check_outcomes(payload: dict) -> list:
     """Failures in a BENCH artifact's ``outcomes`` block (empty = clean).
 
@@ -241,8 +229,7 @@ def check_outcomes(payload: dict) -> list:
     :func:`outcomes_snapshot` is a non-negative integer (unknown
     extra keys are ignored) and every fault tally is zero: wall clocks
     and statistics from a run that retried, timed out, lost a worker,
-    degraded an engine, or quarantined a cache entry are not
-    comparable to a clean run's.
+    or degraded an engine are not comparable to a clean run's.
     """
     outcomes = payload.get("outcomes")
     if not isinstance(outcomes, dict):
@@ -440,8 +427,8 @@ class _Supervisor:
         self._land(index, outcome)
         if not self.policy.keep_going:
             raise BatchError(
-                f"job {job.label or job.key[:12]!r} {status} after "
-                f"{job.attempts} attempt(s): {payload}",
+                f"job {job.label!r} {status} after {job.attempts} "
+                f"attempt(s): {payload}",
                 label=job.label, outcome=outcome,
             )
 
@@ -624,78 +611,7 @@ def require_ok(outcomes: list) -> list:
         first = failures[0]
         raise BatchError(
             f"{len(failures)} of {len(outcomes)} jobs failed; "
-            f"first: {first.label or first.key[:12]!r} "
-            f"({first.status}: {first.error})",
+            f"first: {first.label!r} ({first.status}: {first.error})",
             label=first.label, outcome=first,
         )
     return outcomes
-
-
-def run_many_outcomes(
-    requests: Iterable[RunRequest],
-    processes: int | None = None,
-    cache: ResultCache | None = None,
-    policy: FaultPolicy | None = None,
-    injector=None,
-) -> list[JobOutcome]:
-    """Supervise a RunRequest batch through the cache: outcomes, not raises.
-
-    Cache hits never reach a worker, identical requests within the
-    batch share one supervised execution (even across its retries)
-    and every copy past the first comes back ``cached=True``.  A
-    compiled-engine request falls back to the reference engine
-    within the same attempt (``degraded``).  Every completed job is
-    written back to the cache *even when the batch aborts
-    fail-fast*, so a re-run only pays for the unfinished tail.
-
-    Under ``policy.keep_going`` the returned list always covers every
-    request; fail-fast mode raises :class:`~repro.errors.BatchError`
-    on the first terminal failure instead.
-    """
-    requests = list(requests)
-    cache = cache if cache is not None else ResultCache()
-    keys = [request_key(request) for request in requests]
-    groups: dict = {}
-    for index, key in enumerate(keys):
-        groups.setdefault(key, []).append(index)
-    by_key: dict = {}
-    jobs = []
-    for key, indices in groups.items():
-        request = requests[indices[0]]
-        stats = cache.get(key)
-        if stats is None:
-            fallback = (
-                replace(request, engine="reference")
-                if request.engine == "compiled" else None
-            )
-            jobs.append(Job(execute, request, request.label, key,
-                            fallback))
-            continue
-        by_key[key] = JobOutcome(
-            label=request.label, key=key, status="ok", stats=stats,
-            cached=True,
-        )
-        if BUS.active:
-            BUS.instant(
-                "job_cached", category="batch", track="jobs",
-                args={"label": request.label, "key": key[:12]},
-            )
-    settled: list = [None] * len(jobs)
-    try:
-        supervise(jobs, settled, processes, policy, injector)
-    finally:
-        # Write-back happens even when fail-fast aborts the batch:
-        # completed work survives for the re-run.
-        for job, outcome in zip(jobs, settled):
-            if outcome is not None and outcome.ok:
-                cache.put(job.key, outcome.stats)
-    by_key.update(
-        (job.key, outcome) for job, outcome in zip(jobs, settled)
-    )
-    return [
-        replace(
-            by_key[key], label=requests[index].label,
-            cached=by_key[key].cached or groups[key][0] != index,
-        )
-        for index, key in enumerate(keys)
-    ]

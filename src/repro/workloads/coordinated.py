@@ -38,6 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -554,35 +555,35 @@ def _force_peak(loads: list, rng, peak: int) -> tuple:
     return tuple(loads)
 
 
-def _band_loads(frames: int, seed: int) -> tuple:
-    """A DDC channel-bandwidth trace: sticky rate with reconfigs."""
-    rng = np.random.default_rng(seed)
-    levels = (16, 32, 64, 96)  # narrowband .. full-rate words/frame
-    level = 1
+def _sticky_loads(
+    rng, levels: Sequence[int], level: int, frames: int, hop: float,
+    up: float = 0.5,
+) -> tuple:
+    """A sticky trace over ``levels``, starting at ``levels[level]``.
+
+    Each frame draws once and, when the draw exceeds ``hop``, moves
+    one level (up with probability ``up``, clamped at both ends); one
+    frame of the second half is then forced to the peak, so the trace
+    exercises the worst case at least once.
+    """
     loads = []
     for _ in range(frames):
-        if rng.random() > 0.7:  # carrier/bandwidth reconfiguration
-            step = 1 if rng.random() < 0.5 else -1
+        if rng.random() > hop:
+            step = 1 if rng.random() < up else -1
             level = min(len(levels) - 1, max(0, level + step))
         loads.append(levels[level])
-    # Exercise the worst case at least once.
     return _force_peak(loads, rng, levels[-1])
 
 
 def _mcs_loads(frames: int, seed: int) -> tuple:
-    """A WLAN modulation-and-coding trace: sticky MCS with hops."""
-    rng = np.random.default_rng(seed)
-    levels = (12, 24, 48, 96)  # BPSK .. 64-QAM words per frame
-    level = 1
-    loads = []
-    for _ in range(frames):
-        roll = rng.random()
-        if roll > 0.65:  # hop one MCS step, biased upward
-            step = 1 if rng.random() < 0.55 else -1
-            level = min(len(levels) - 1, max(0, level + step))
-        loads.append(levels[level])
-    # Guarantee the trace really exercises the worst case once.
-    return _force_peak(loads, rng, levels[-1])
+    """A WLAN modulation-and-coding trace: sticky MCS with hops.
+
+    BPSK .. 64-QAM words per frame, hops biased upward.
+    """
+    return _sticky_loads(
+        np.random.default_rng(seed), (12, 24, 48, 96), 1, frames,
+        hop=0.65, up=0.55,
+    )
 
 
 def ddc_pipeline_scenario(
@@ -599,7 +600,12 @@ def ddc_pipeline_scenario(
     return PipelineScenario(
         name="DDC pipeline (governed end to end)",
         key="ddc_pipeline",
-        frame_loads=_band_loads(frames, seed),
+        # Narrowband .. full-rate words per frame; a hop is a carrier
+        # or bandwidth reconfiguration.
+        frame_loads=_sticky_loads(
+            np.random.default_rng(seed), (16, 32, 64, 96), 1, frames,
+            hop=0.7,
+        ),
         stages=(
             PipelineStage("mixer", work_per_word=2),
             PipelineStage("cic", work_per_word=8),
@@ -666,25 +672,6 @@ def aes_pipeline_scenario(
     )
 
 
-def _motion_loads(frames: int, seed: int) -> tuple:
-    """An MPEG-4 macroblock trace: scene-dependent, in eights.
-
-    Loads are multiples of 8 because the encoder pipeline's entropy
-    tail consumes the quantizer's 2:1-decimated stream four words per
-    firing - the load quantum the scenario validates.
-    """
-    rng = np.random.default_rng(seed)
-    levels = (16, 32, 64, 96)  # still scene .. full motion
-    level = 1
-    loads = []
-    for _ in range(frames):
-        if rng.random() > 0.65:  # scene change / motion burst
-            step = 1 if rng.random() < 0.55 else -1
-            level = min(len(levels) - 1, max(0, level + step))
-        loads.append(levels[level])
-    return _force_peak(loads, rng, levels[-1])
-
-
 def mpeg4_pipeline_scenario(
     frames: int = 20, seed: int = 13
 ) -> PipelineScenario:
@@ -699,7 +686,14 @@ def mpeg4_pipeline_scenario(
     return PipelineScenario(
         name="MPEG-4 encoder tail (2:1 and 4:1 decimation)",
         key="mpeg4_pipeline",
-        frame_loads=_motion_loads(frames, seed),
+        # Still scene .. full motion, a hop per scene change or motion
+        # burst.  Loads are multiples of 8 because the entropy tail
+        # consumes the quantizer's 2:1-decimated stream four words per
+        # firing - the load quantum the scenario validates.
+        frame_loads=_sticky_loads(
+            np.random.default_rng(seed), (16, 32, 64, 96), 1, frames,
+            hop=0.65, up=0.55,
+        ),
         stages=(
             PipelineStage("dct", work_per_word=4),
             PipelineStage(
@@ -710,20 +704,6 @@ def mpeg4_pipeline_scenario(
             ),
         ),
     )
-
-
-def _audio_loads(frames: int, seed: int) -> tuple:
-    """A stereo audio trace: sample-rate switches with level bursts."""
-    rng = np.random.default_rng(seed)
-    levels = (16, 32, 48, 96)  # low-rate .. hi-res words/frame
-    level = 1
-    loads = []
-    for _ in range(frames):
-        if rng.random() > 0.55:  # sample-rate / codec switch
-            step = 1 if rng.random() < 0.5 else -1
-            level = min(len(levels) - 1, max(0, level + step))
-        loads.append(levels[level])
-    return _force_peak(loads, rng, levels[-1])
 
 
 def stereo_pipeline_scenario(
@@ -740,7 +720,12 @@ def stereo_pipeline_scenario(
     return PipelineScenario(
         name="Stereo effects fork/join pipeline",
         key="stereo_pipeline",
-        frame_loads=_audio_loads(frames, seed),
+        # Low-rate .. hi-res words per frame, a hop per sample-rate or
+        # codec switch.
+        frame_loads=_sticky_loads(
+            np.random.default_rng(seed), (16, 32, 48, 96), 1, frames,
+            hop=0.55,
+        ),
         stages=(
             PipelineStage("split", work_per_word=1),
             PipelineStage("left_fx", work_per_word=6),

@@ -43,7 +43,7 @@ from repro.workloads.coordinated import (
     PIPELINE_GOVERNORS,
     PipelineScenario,
     PipelineStage,
-    _force_peak,
+    _sticky_loads,
     run_pipeline,
 )
 
@@ -275,14 +275,9 @@ def _sample_loads(
         level = max(quantum, int(share * peak) // quantum * quantum)
         if not levels or level > levels[-1]:
             levels.append(level)
-    index = int(rng.integers(0, len(levels)))
-    loads = []
-    for _ in range(frames):
-        if rng.random() > 0.6:  # rate reconfiguration
-            step = 1 if rng.random() < 0.5 else -1
-            index = min(len(levels) - 1, max(0, index + step))
-        loads.append(levels[index])
-    return _force_peak(loads, rng, levels[-1])
+    start = int(rng.integers(0, len(levels)))
+    # A hop is a rate reconfiguration.
+    return _sticky_loads(rng, levels, start, frames, hop=0.6)
 
 
 def generate_scenario(seed: int, index: int) -> GeneratedScenario:

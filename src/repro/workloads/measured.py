@@ -7,8 +7,7 @@ measurement) and assembles whole measured applications:
 
 * every kernel becomes a picklable
   :class:`~repro.sim.batch.RunRequest`, so a batch of kernels fans out
-  through :func:`repro.sim.batch.run_many` behind its content-hash
-  cache;
+  through :func:`repro.sim.batch.run_many` as supervised jobs;
 * each run's statistics reduce to a
   :class:`~repro.power.measured.ActivityProfile`;
 * :func:`measured_application` rebuilds an application's component
@@ -40,7 +39,8 @@ from repro.kernels import (
 )
 from repro.kernels.base import Kernel, KernelRun
 from repro.power.model import ComponentSpec
-from repro.sim.batch import ResultCache, RunRequest, run_many
+from repro.sim.batch import RunRequest, run_many
+from repro.sim.resilience import require_ok
 from repro.workloads.configs import ApplicationConfig, application
 
 #: Kernel registry for the measured pipeline, keyed by kernel name.
@@ -56,9 +56,6 @@ KERNEL_BUILDERS = {
 
 #: Process-wide memo: kernel key -> measured ActivityProfile.
 _ACTIVITY_MEMO: dict = {}
-
-#: Shared stats cache behind every run_many batch in this module.
-_RESULT_CACHE = ResultCache()
 
 
 def comm_profile_from_run(
@@ -114,11 +111,7 @@ def kernel_request(
     )
 
 
-def measured_activities(
-    kernel_keys,
-    processes: int | None = 1,
-    cache: ResultCache | None = None,
-) -> dict:
+def measured_activities(kernel_keys, processes: int | None = 1) -> dict:
     """Measured :class:`ActivityProfile` per kernel key, via run_many.
 
     Results are memoized process-wide, so an eval pass rendering
@@ -130,14 +123,10 @@ def measured_activities(
         requests = [
             kernel_request(KERNEL_BUILDERS[key]()) for key in missing
         ]
-        results = run_many(
-            requests,
-            processes=processes,
-            cache=cache if cache is not None else _RESULT_CACHE,
-        )
-        for key, result in zip(missing, results):
+        outcomes = require_ok(run_many(requests, processes=processes))
+        for key, outcome in zip(missing, outcomes):
             _ACTIVITY_MEMO[key] = activity_from_stats(
-                result.stats, name=key
+                outcome.stats, name=key
             )
     return {key: _ACTIVITY_MEMO[key] for key in keys}
 
@@ -208,9 +197,7 @@ class MeasuredApplication:
 
 
 def measured_application(
-    key: str,
-    processes: int | None = 1,
-    cache: ResultCache | None = None,
+    key: str, processes: int | None = 1
 ) -> MeasuredApplication:
     """Rebuild one application's specs from simulated activity.
 
@@ -221,7 +208,7 @@ def measured_application(
     """
     config = application(key)
     activities = measured_activities(
-        config.kernels.values(), processes=processes, cache=cache
+        config.kernels.values(), processes=processes
     )
     components = []
     for spec in config.components:

@@ -133,7 +133,6 @@ def test_cli_measured_writes_bench_artifact(tmp_path, capsys):
 
 def test_cli_measured_jobs_match_serial(tmp_path, monkeypatch):
     """``--measured -j 2`` runs the kernels in workers: same artifact."""
-    from repro.sim.batch import ResultCache
     from repro.sim.resilience import reset_outcome_counters
     from repro.workloads import measured
 
@@ -147,9 +146,8 @@ def test_cli_measured_jobs_match_serial(tmp_path, monkeypatch):
     monkeypatch.setattr(measured, "run_many", recorded)
     payloads = []
     for jobs in ("1", "2"):
-        # Fresh memos, so the second run simulates in its workers.
+        # A fresh memo, so the second run simulates in its workers.
         monkeypatch.setattr(measured, "_ACTIVITY_MEMO", {})
-        monkeypatch.setattr(measured, "_RESULT_CACHE", ResultCache())
         reset_outcome_counters()
         main(["--measured", "-j", jobs, "-o", str(tmp_path / jobs)])
         payload = json.loads(

@@ -102,9 +102,9 @@ def test_emit_artifact_stamps_outcomes_block(tmp_path):
     target = emit_artifact({"artifact": "BENCH_fake"}, str(tmp_path))
     assert target == tmp_path / "BENCH_fake.json"
     outcomes = json.loads(target.read_text())["outcomes"]
-    assert set(outcomes) >= {
+    assert set(outcomes) == {
         "ok", "degraded", "failed", "timed_out", "worker_crashed",
-        "retries", "cache_quarantined",
+        "retries",
     }
     assert all(count == 0 for count in outcomes.values())
 

@@ -1,4 +1,4 @@
-"""Batched runs: correctness, caching, and the parallel fan-out."""
+"""Batched runs: correctness, labels, and the parallel fan-out."""
 
 import os
 import time
@@ -8,14 +8,7 @@ import pytest
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.errors import BatchError
 from repro.isa.assembler import assemble
-from repro.sim.batch import (
-    ResultCache,
-    RunRequest,
-    execute,
-    parallel_map,
-    request_key,
-    run_many,
-)
+from repro.sim.batch import RunRequest, execute, parallel_map, run_many
 from repro.sim.simulator import run_single_column
 
 
@@ -55,14 +48,6 @@ def test_execute_matches_run_single_column():
     assert execute(request) == expected
 
 
-def test_request_key_distinguishes_configs_not_labels():
-    base = make_request(divider=2, label="a")
-    relabeled = make_request(divider=2, label="b")
-    different = make_request(divider=4, label="a")
-    assert request_key(base) == request_key(relabeled)
-    assert request_key(base) != request_key(different)
-
-
 def test_run_many_preserves_order_and_labels():
     requests = [
         make_request(divider=d, label=f"d{d}") for d in (4, 1, 2)
@@ -73,34 +58,27 @@ def test_run_many_preserves_order_and_labels():
     assert ticks[0] > ticks[2] > ticks[1]  # slower divider, more ticks
 
 
-def test_run_many_serves_repeats_from_cache():
-    cache = ResultCache()
-    requests = [make_request(divider=d) for d in (1, 2)]
-    first = run_many(requests, cache=cache)
-    assert [r.cached for r in first] == [False, False]
-    second = run_many(requests, cache=cache)
-    assert [r.cached for r in second] == [True, True]
-    assert [r.stats for r in second] == [r.stats for r in first]
-    assert cache.hits == 2 and cache.misses == 2
-
-
-def test_run_many_dedupes_identical_requests_within_a_batch():
-    cache = ResultCache()
-    results = run_many([make_request(divider=2),
-                        make_request(divider=2)], cache=cache)
-    assert [r.cached for r in results] == [False, True]
-    assert results[0].stats == results[1].stats
-    # duplicates share one lookup: counters agree with executed work
-    assert cache.misses == 1 and cache.hits == 0
-
-
-def test_disk_cache_survives_a_new_cache_instance(tmp_path):
-    request = make_request(divider=2)
-    run_many([request], cache=ResultCache(tmp_path))
-    rehydrated = ResultCache(tmp_path)
-    results = run_many([request], cache=rehydrated)
-    assert results[0].cached
-    assert rehydrated.hits == 1
+def test_run_many_runs_duplicates_and_names_unlabeled_requests():
+    """An in-batch duplicate is its own job; an unlabeled one is
+    ``request i``."""
+    outcomes = run_many([make_request(divider=2, label="twin"),
+                         make_request(divider=2, label="twin"),
+                         make_request(divider=4)], processes=1)
+    assert [o.label for o in outcomes] == ["twin", "twin", "request 2"]
+    assert [o.attempts for o in outcomes] == [1, 1, 1]
+    assert outcomes[0].stats == outcomes[1].stats
+    assert outcomes[0].stats != outcomes[2].stats
+    deadlocked = RunRequest(  # nobody ever sends: fails on both engines
+        config=ChipConfig(reference_mhz=100.0,
+                          columns=(ColumnConfig(divider=1),)),
+        programs=(assemble("recv r0\nhalt"),),
+        max_ticks=300,
+    )
+    with pytest.raises(BatchError) as excinfo:
+        run_many([make_request(divider=1, label="fine"), deadlocked],
+                 processes=1)
+    assert excinfo.value.label == "request 1"
+    assert "'request 1'" in str(excinfo.value)
 
 
 def test_run_many_engines_agree():
@@ -203,73 +181,3 @@ def test_parallel_map_worker_death_is_a_batch_error():
         parallel_map(_exit_on_three, [1, 3], processes=2)
     assert excinfo.value.label == "item 1"
     assert excinfo.value.outcome.status == "worker_crashed"
-
-
-def test_disk_cache_quarantines_truncated_pickle(tmp_path):
-    """Regression (issue #9): a corrupt .stats entry crashed get()."""
-    request = make_request(divider=2)
-    from repro.sim.batch import request_key as key_of
-
-    run_many([request], cache=ResultCache(tmp_path))
-    key = key_of(request)
-    # garbage where the pickle should be
-    (tmp_path / f"{key}.stats").write_bytes(b"\x80\x04 truncated")
-    poisoned = ResultCache(tmp_path)
-    from repro.obs.events import subscribed
-
-    events = []
-    with subscribed(events.append):
-        results = run_many([request], cache=poisoned)
-    # treated as a miss, re-executed, quarantined - never a raise
-    assert not results[0].cached
-    assert poisoned.quarantined == 1
-    assert (tmp_path / "quarantine" / f"{key}.stats").exists()
-    assert not (tmp_path / "quarantine" / f"{key}.stats.tmp").exists()
-    assert "cache_corrupt" in [event.name for event in events]
-    # the rewritten entry serves clean again
-    assert run_many([request], cache=ResultCache(tmp_path))[0].cached
-
-
-def test_disk_cache_detects_flipped_byte_via_checksum(tmp_path):
-    request = make_request(divider=4)
-    from repro.sim.batch import request_key as key_of
-
-    run_many([request], cache=ResultCache(tmp_path))
-    key = key_of(request)
-    path = tmp_path / f"{key}.stats"
-    blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    poisoned = ResultCache(tmp_path)
-    assert poisoned.get(key) is None
-    assert poisoned.quarantined == 1
-    assert poisoned.misses == 1
-
-
-def test_disk_cache_quarantines_entry_missing_its_sidecar(tmp_path):
-    request = make_request(divider=2)
-    from repro.sim.batch import request_key as key_of
-
-    cache = ResultCache(tmp_path)
-    run_many([request], cache=cache)
-    key = key_of(request)
-    (tmp_path / f"{key}.sha256").unlink()
-    rehydrated = ResultCache(tmp_path)
-    assert rehydrated.get(key) is None
-    assert rehydrated.quarantined == 1
-
-
-def test_disk_cache_writes_are_atomic_with_sidecars(tmp_path):
-    request = make_request(divider=2)
-    from repro.sim.batch import CACHE_MAGIC, request_key as key_of
-
-    run_many([request], cache=ResultCache(tmp_path))
-    key = key_of(request)
-    blob = (tmp_path / f"{key}.stats").read_bytes()
-    assert blob.startswith(CACHE_MAGIC)
-    import hashlib
-
-    recorded = (tmp_path / f"{key}.sha256").read_text().strip()
-    assert recorded == hashlib.sha256(blob).hexdigest()
-    # no leftover temp files from the atomic rename
-    assert not list(tmp_path.glob("*.tmp.*"))

@@ -1,16 +1,15 @@
 """Chaos suite: supervised sweeps survive every injected fault class.
 
-The standing contract (ISSUE 9 / docs/robustness.md): with seeded
-injection of worker kills, per-job timeouts, engine faults, and cache
-corruption, ``run_many_outcomes`` completes the sweep with statistics
-**bit-identical** to a fault-free run, and every retry, degradation,
-and quarantine is visible in the outcomes, the counters, and on the
-obs bus.  A generated-case fuzz sweep on the same supervisor comes out
-with the fault-free rows under worker kills, and a case that overruns
-its budget settles ``timed_out`` under its ``(seed, index)`` label;
-a governed (scenario, policy) pair does the same under its
-``coordinated (<scenario>, <policy>)`` label, and a pair that raises
-runs exactly once.
+The standing contract (docs/robustness.md): with seeded injection of
+worker kills, per-job timeouts, and engine faults, ``run_many``
+completes the sweep with statistics **bit-identical** to a fault-free
+run, and every retry and degradation is visible in the outcomes, the
+counters, and on the obs bus.  A generated-case fuzz sweep on the
+same supervisor comes out with the fault-free rows under worker
+kills, and a case that overruns its budget settles ``timed_out``
+under its ``(seed, index)`` label; a governed (scenario, policy) pair
+does the same under its ``coordinated (<scenario>, <policy>)`` label,
+and a pair that raises runs exactly once.
 
 CI runs this file once per seed of its matrix (``CHAOS_SEED``); the
 injector is a pure function of the seed, so any red cell replays
@@ -26,14 +25,14 @@ from repro.errors import BatchError, SimulationError
 from repro.eval import fuzz, governed
 from repro.isa.assembler import assemble
 from repro.obs.events import subscribed
-from repro.sim.batch import ResultCache, run_many, RunRequest
+from repro.sim.batch import RunRequest, run_many
 from repro.sim.faultinject import FaultInjector, FaultSpec
 from repro.sim.resilience import (
     FaultPolicy,
     Job,
     outcomes_snapshot,
+    require_ok,
     reset_outcome_counters,
-    run_many_outcomes,
     set_default_policy,
     supervise,
 )
@@ -81,7 +80,7 @@ def _request(iterations, divider, label):
 
 
 def _sweep():
-    """A small DSE-shaped sweep, in-batch duplicate included."""
+    """A small DSE-shaped sweep: six jobs, one a duplicate request."""
     requests = [
         _request(iterations, divider, f"cfg{i}")
         for i, (iterations, divider) in enumerate(
@@ -95,7 +94,7 @@ def _sweep():
 @pytest.fixture(scope="module")
 def baseline():
     """Fault-free stats for the sweep (the bit-identity anchor)."""
-    outcomes = run_many_outcomes(_sweep(), processes=1)
+    outcomes = run_many(_sweep(), processes=1)
     assert all(o.status == "ok" for o in outcomes)
     return [o.stats for o in outcomes]
 
@@ -103,7 +102,7 @@ def baseline():
 # The per-class injections below run at rate=1.0 on the first
 # attempt: every job exercises the fault path, retries run clean, so
 # the sweep must converge regardless of seed - while the seed still
-# varies backoff jitter and corruption positions through the hash.
+# varies backoff jitter through the hash.
 
 def test_worker_kills_serial(baseline):
     injector = FaultInjector(
@@ -111,7 +110,7 @@ def test_worker_kills_serial(baseline):
     )
     recorder = _Recorder()
     with subscribed(recorder):
-        outcomes = run_many_outcomes(
+        outcomes = run_many(
             _sweep(), processes=1,
             policy=FaultPolicy(max_retries=2, backoff_base_s=0.0),
             injector=injector,
@@ -119,24 +118,24 @@ def test_worker_kills_serial(baseline):
     assert all(o.ok for o in outcomes)
     assert [o.stats for o in outcomes] == baseline
     snapshot = outcomes_snapshot()
-    assert snapshot["worker_crashed"] == 5  # unique jobs, not dupes
-    assert snapshot["retries"] == 5
-    assert recorder.names.count("job_worker_crashed") == 5
-    assert recorder.names.count("job_retry") == 5
+    assert snapshot["worker_crashed"] == 6  # the duplicate runs too
+    assert snapshot["retries"] == 6
+    assert recorder.names.count("job_worker_crashed") == 6
+    assert recorder.names.count("job_retry") == 6
 
 
 def test_worker_kills_real_processes(baseline):
     injector = FaultInjector(
         SEED, [FaultSpec("kill_worker", rate=1.0, attempts=(1,))]
     )
-    outcomes = run_many_outcomes(
+    outcomes = run_many(
         _sweep(), processes=2,
         policy=FaultPolicy(max_retries=2, backoff_base_s=0.0),
         injector=injector,
     )
     assert all(o.ok for o in outcomes)
     assert [o.stats for o in outcomes] == baseline
-    assert outcomes_snapshot()["worker_crashed"] == 5
+    assert outcomes_snapshot()["worker_crashed"] == 6
 
 
 def test_job_timeouts_serial(baseline):
@@ -146,7 +145,7 @@ def test_job_timeouts_serial(baseline):
     )
     recorder = _Recorder()
     with subscribed(recorder):
-        outcomes = run_many_outcomes(
+        outcomes = run_many(
             _sweep(), processes=1,
             policy=FaultPolicy(max_retries=2, timeout_s=0.02,
                                backoff_base_s=0.0),
@@ -154,8 +153,8 @@ def test_job_timeouts_serial(baseline):
         )
     assert all(o.ok for o in outcomes)
     assert [o.stats for o in outcomes] == baseline
-    assert outcomes_snapshot()["timed_out"] == 5
-    assert recorder.names.count("job_timeout") == 5
+    assert outcomes_snapshot()["timed_out"] == 6
+    assert recorder.names.count("job_timeout") == 6
 
 
 def test_job_timeouts_real_processes(baseline):
@@ -163,7 +162,7 @@ def test_job_timeouts_real_processes(baseline):
         SEED, [FaultSpec("delay_job", rate=1.0, attempts=(1,),
                          delay_s=0.8)]
     )
-    outcomes = run_many_outcomes(
+    outcomes = run_many(
         _sweep(), processes=2,
         policy=FaultPolicy(max_retries=2, timeout_s=0.2,
                            backoff_base_s=0.0),
@@ -171,7 +170,7 @@ def test_job_timeouts_real_processes(baseline):
     )
     assert all(o.ok for o in outcomes)
     assert [o.stats for o in outcomes] == baseline
-    assert outcomes_snapshot()["timed_out"] >= 5
+    assert outcomes_snapshot()["timed_out"] >= 6
 
 
 def test_engine_faults_degrade_bit_identical(baseline):
@@ -180,7 +179,7 @@ def test_engine_faults_degrade_bit_identical(baseline):
     )
     recorder = _Recorder()
     with subscribed(recorder):
-        outcomes = run_many_outcomes(
+        outcomes = run_many(
             _sweep(), processes=1,
             policy=FaultPolicy(max_retries=2, backoff_base_s=0.0),
             injector=injector,
@@ -189,71 +188,32 @@ def test_engine_faults_degrade_bit_identical(baseline):
     assert all(o.status == "degraded" for o in outcomes)
     # the reference fallback is bit-identical - the engine contract
     assert [o.stats for o in outcomes] == baseline
-    assert outcomes_snapshot()["degraded"] == 5
-    assert recorder.names.count("job_degraded") == 5
+    assert outcomes_snapshot()["degraded"] == 6
+    assert recorder.names.count("job_degraded") == 6
 
 
-def test_cache_corruption_quarantines_and_recomputes(
-    baseline, tmp_path
-):
-    cache_dir = tmp_path / "cache"
-    warm = ResultCache(cache_dir)
-    first = run_many_outcomes(_sweep(), processes=1, cache=warm)
-    assert [o.stats for o in first] == baseline
-    injector = FaultInjector(
-        SEED, [FaultSpec("corrupt_cache", rate=1.0)]
-    )
-    corrupted = injector.corrupt_cache(ResultCache(cache_dir))
-    assert len(corrupted) == 5  # every unique on-disk entry
-    recorder = _Recorder()
-    rehydrated = ResultCache(cache_dir)
-    with subscribed(recorder):
-        again = run_many_outcomes(
-            _sweep(), processes=1, cache=rehydrated
-        )
-    assert all(o.ok for o in again)
-    assert [o.stats for o in again] == baseline
-    assert rehydrated.quarantined == 5
-    assert recorder.names.count("cache_corrupt") == 5
-    assert outcomes_snapshot()["cache_quarantined"] == 5
-    quarantine = cache_dir / "quarantine"
-    assert len(list(quarantine.glob("*.stats"))) == 5
-    # the refreshed entries verify clean on a third pass
-    third = ResultCache(cache_dir)
-    final = run_many_outcomes(_sweep(), processes=1, cache=third)
-    assert all(o.cached for o in final)
-    assert [o.stats for o in final] == baseline
-
-
-def test_fault_storm_converges_bit_identical(baseline, tmp_path):
+def test_fault_storm_converges_bit_identical(baseline):
     """All fault classes armed at once, partial rates, seed-varied.
 
     Which jobs get hit depends on the seed (that is the point of the
     CI matrix); whatever fires, the sweep must converge to
     bit-identical statistics with every fault accounted for.
     """
-    cache_dir = tmp_path / "storm-cache"
-    warm = ResultCache(cache_dir)
-    run_many_outcomes(_sweep(), processes=1, cache=warm)
     injector = FaultInjector(SEED, [
         FaultSpec("kill_worker", rate=0.5, attempts=(1,)),
         FaultSpec("raise_in_engine", rate=0.5, attempts=(1,)),
         FaultSpec("delay_job", rate=0.4, attempts=(1,),
                   delay_s=0.05),
-        FaultSpec("corrupt_cache", rate=0.6),
     ])
-    injector.corrupt_cache(ResultCache(cache_dir))
-    cache = ResultCache(cache_dir)
-    outcomes = run_many_outcomes(
+    outcomes = run_many(
         _sweep(), processes=1,
         policy=FaultPolicy(max_retries=3, timeout_s=0.02,
                            backoff_base_s=0.0),
-        injector=injector, cache=cache,
+        injector=injector,
     )
     assert all(o.ok for o in outcomes)
     assert [o.stats for o in outcomes] == baseline
     snapshot = outcomes_snapshot()
-    assert snapshot["cache_quarantined"] == cache.quarantined
     # bookkeeping is self-consistent: every retry stems from a
     # classified fault attempt
     assert snapshot["retries"] == (
@@ -263,16 +223,16 @@ def test_fault_storm_converges_bit_identical(baseline, tmp_path):
 
 
 def test_supervised_run_many_is_a_drop_in_under_faults(baseline):
-    """run_many(policy=..., injector=...) returns plain BatchResults."""
+    """require_ok(run_many(policy=..., injector=...)) passes through."""
     injector = FaultInjector(
         SEED, [FaultSpec("kill_worker", rate=1.0, attempts=(1,))]
     )
-    results = run_many(
+    outcomes = require_ok(run_many(
         _sweep(), processes=1,
         policy=FaultPolicy(max_retries=2, backoff_base_s=0.0),
         injector=injector,
-    )
-    assert [r.stats for r in results] == baseline
+    ))
+    assert [o.stats for o in outcomes] == baseline
 
 
 # A fuzz sweep: generated-case check_case jobs labelled the way

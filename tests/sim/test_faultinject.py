@@ -1,4 +1,4 @@
-"""Deterministic fault injector: decisions, specs, corruption."""
+"""Deterministic fault injector: decisions and specs."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.sim.faultinject import (
     FaultInjector,
     FaultSpec,
     InjectedWorkerCrash,
-    corrupt_file_bytes,
 )
 
 
@@ -61,35 +60,6 @@ def test_kill_worker_raises_in_process():
         injector.before_attempt("k", "job", 1, in_worker=False)
     # attempt 2 is clean
     injector.before_attempt("k", "job", 2, in_worker=False)
-
-
-def test_corrupt_file_bytes_flips_deterministically(tmp_path):
-    target = tmp_path / "entry.stats"
-    target.write_bytes(b"0123456789")
-    position = corrupt_file_bytes(target, seed=5)
-    corrupted = target.read_bytes()
-    assert corrupted != b"0123456789"
-    assert len(corrupted) == 10
-    assert corrupted[position] == b"0123456789"[position] ^ 0xFF
-    # same seed, same file name -> same position
-    target.write_bytes(b"0123456789")
-    assert corrupt_file_bytes(target, seed=5) == position
-
-
-def test_corrupt_empty_file_gains_a_byte(tmp_path):
-    target = tmp_path / "empty.stats"
-    target.write_bytes(b"")
-    corrupt_file_bytes(target, seed=5)
-    assert target.read_bytes() != b""
-
-
-def test_corrupt_cache_skips_memory_only_cache():
-    from repro.sim.batch import ResultCache
-
-    injector = FaultInjector(
-        3, [FaultSpec("corrupt_cache", rate=1.0)]
-    )
-    assert injector.corrupt_cache(ResultCache()) == []
 
 
 def test_injector_survives_pickling():

@@ -5,17 +5,16 @@ import pytest
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.errors import BatchError
 from repro.isa.assembler import assemble
-from repro.obs.events import BUS, subscribed
-from repro.sim import resilience
-from repro.sim.batch import ResultCache, RunRequest, request_key, run_many
+from repro.obs.events import subscribed
+from repro.sim.batch import RunRequest, execute, run_many
 from repro.sim.faultinject import FaultInjector, FaultSpec
 from repro.sim.resilience import (
     FaultPolicy,
     JobOutcome,
     backoff_delay,
     outcomes_snapshot,
+    require_ok,
     reset_outcome_counters,
-    run_many_outcomes,
     set_default_policy,
 )
 
@@ -98,10 +97,9 @@ def test_backoff_is_deterministic_capped_and_jittered():
 def test_fault_free_outcomes_match_run_many():
     requests = [make_request(divider=d, label=f"d{d}")
                 for d in (1, 2, 4)]
-    outcomes = run_many_outcomes(requests, processes=1)
-    plain = run_many(requests, processes=1)
+    outcomes = run_many(requests, processes=1)
     assert [o.status for o in outcomes] == ["ok"] * 3
-    assert [o.stats for o in outcomes] == [r.stats for r in plain]
+    assert [o.stats for o in outcomes] == [execute(r) for r in requests]
     assert [o.label for o in outcomes] == ["d1", "d2", "d4"]
     assert all(o.attempts == 1 and o.retries == 0 for o in outcomes)
 
@@ -113,7 +111,7 @@ def test_worker_crash_is_retried_to_success():
     )
     recorder = _Recorder()
     with subscribed(recorder):
-        outcomes = run_many_outcomes(
+        outcomes = run_many(
             requests, processes=1, policy=FAST, injector=injector
         )
     assert [o.status for o in outcomes] == ["ok", "ok"]
@@ -128,13 +126,13 @@ def test_worker_crash_is_retried_to_success():
 
 def test_engine_fault_degrades_to_reference_bit_identical():
     request = make_request(divider=4, label="deg")
-    baseline = run_many_outcomes([request], processes=1)
+    baseline = run_many([request], processes=1)
     injector = FaultInjector(
         5, [FaultSpec("raise_in_engine", rate=1.0, attempts=(1,))]
     )
     recorder = _Recorder()
     with subscribed(recorder):
-        outcomes = run_many_outcomes(
+        outcomes = run_many(
             [request], processes=1, policy=FAST, injector=injector
         )
     outcome = outcomes[0]
@@ -149,7 +147,7 @@ def test_engine_fault_degrades_to_reference_bit_identical():
 def test_job_failing_on_both_engines_settles_failed():
     policy = FaultPolicy(max_retries=1, backoff_base_s=0.0,
                          keep_going=True)
-    outcomes = run_many_outcomes([deadlocked_request("deadlock")],
+    outcomes = run_many([deadlocked_request("deadlock")],
                                  processes=1, policy=policy)
     assert outcomes[0].status == "failed"
     assert not outcomes[0].ok
@@ -172,7 +170,7 @@ def test_serial_timeout_is_posthoc_and_retried():
                          backoff_base_s=0.0)
     recorder = _Recorder()
     with subscribed(recorder):
-        outcomes = run_many_outcomes(
+        outcomes = run_many(
             [request], processes=1, policy=policy, injector=injector
         )
     assert outcomes[0].status == "ok"
@@ -188,7 +186,7 @@ def test_fail_fast_raises_batch_error_with_label():
     )
     policy = FaultPolicy(max_retries=1, backoff_base_s=0.0)
     with pytest.raises(BatchError) as excinfo:
-        run_many_outcomes(
+        run_many(
             requests, processes=1, policy=policy, injector=injector
         )
     assert excinfo.value.label == "doomed"
@@ -204,96 +202,24 @@ def test_keep_going_supervises_every_job_to_a_terminal_outcome():
     )
     policy = FaultPolicy(max_retries=1, backoff_base_s=0.0,
                          keep_going=True)
-    cache = ResultCache()
-    outcomes = run_many_outcomes(
+    outcomes = run_many(
         [doomed, also_doomed], processes=1, policy=policy,
-        injector=injector, cache=cache,
+        injector=injector,
     )
-    assert len(outcomes) == 2
-    assert {o.label for o in outcomes} == {"doomed", "also-doomed"}
+    assert [o.label for o in outcomes] == ["doomed", "also-doomed"]
     assert all(o.status == "worker_crashed" for o in outcomes)
     assert all(o.attempts == 2 for o in outcomes)
-    assert len(cache) == 0  # crashed jobs never write back
-
-
-def test_failfast_abort_still_caches_completed_jobs():
-    done_first = make_request(divider=1, label="done-first")
-    doomed = deadlocked_request("doomed")
-    cache = ResultCache()
-    policy = FaultPolicy(max_retries=0, backoff_base_s=0.0)
-    with pytest.raises(BatchError) as excinfo:
-        run_many_outcomes(
-            [done_first, doomed], processes=1, policy=policy,
-            cache=cache,
-        )
-    assert excinfo.value.label == "doomed"
-    # the completed job was written back; the doomed one was not
-    assert len(cache) == 1
-    assert cache.get(request_key(done_first)) is not None
-
-
-def test_dedup_under_retry_executes_once_per_attempt(monkeypatch):
-    """Identical requests execute once even when retried (issue #9).
-
-    Two label-distinct but content-identical requests share one
-    supervised execution; when the first attempt times out and is
-    retried, the batch still performs exactly one execution per
-    attempt - never one per duplicate - and the second result is
-    served as cached.
-    """
-    calls = []
-    real_execute = resilience.execute
-
-    def counting_execute(request):
-        calls.append(request.label)
-        return real_execute(request)
-
-    monkeypatch.setattr(resilience, "execute", counting_execute)
-    twins = [make_request(divider=2, label="twin-a"),
-             make_request(divider=2, label="twin-b")]
-    injector = FaultInjector(
-        13, [FaultSpec("delay_job", rate=1.0, attempts=(1,),
-                       delay_s=0.05)]
-    )
-    policy = FaultPolicy(max_retries=1, timeout_s=0.01,
-                         backoff_base_s=0.0)
-    cache = ResultCache()
-    outcomes = run_many_outcomes(
-        twins, processes=1, policy=policy, injector=injector,
-        cache=cache,
-    )
-    # one execution for the timed-out attempt + one for the retry -
-    # NOT two per duplicate
-    assert len(calls) == 2
-    assert [o.label for o in outcomes] == ["twin-a", "twin-b"]
-    assert [o.status for o in outcomes] == ["ok", "ok"]
-    assert [o.cached for o in outcomes] == [False, True]
-    assert outcomes[0].stats == outcomes[1].stats
-    assert outcomes[0].retries == 1
-    assert len(cache) == 1
-    assert cache.misses == 1  # one lookup for the deduped group
-
-
-def test_cache_hits_settle_without_attempts():
-    cache = ResultCache()
-    request = make_request(divider=2, label="memo")
-    first = run_many_outcomes([request], processes=1, cache=cache)
-    assert first[0].attempts == 1
-    again = run_many_outcomes([request], processes=1, cache=cache)
-    assert again[0].status == "ok"
-    assert again[0].cached
-    assert again[0].attempts == 0
-    assert again[0].stats == first[0].stats
+    assert all(o.stats is None for o in outcomes)
 
 
 def test_process_mode_crash_containment_bit_identical():
     requests = [make_request(divider=d, label=f"d{d}")
                 for d in (1, 2, 4)]
-    baseline = run_many_outcomes(requests, processes=1)
+    baseline = run_many(requests, processes=1)
     injector = FaultInjector(
         21, [FaultSpec("kill_worker", rate=1.0, attempts=(1,))]
     )
-    outcomes = run_many_outcomes(
+    outcomes = run_many(
         requests, processes=2, policy=FAST, injector=injector
     )
     assert [o.status for o in outcomes] == ["ok"] * 3
@@ -308,8 +234,8 @@ def test_run_many_uses_default_policy_and_supervises():
     set_default_policy(FaultPolicy(max_retries=1,
                                    backoff_base_s=0.0))
     supervised = run_many(requests, processes=1)
-    assert [r.stats for r in supervised] \
-        == [r.stats for r in injector_free_baseline]
+    assert [o.stats for o in supervised] \
+        == [o.stats for o in injector_free_baseline]
     assert outcomes_snapshot()["ok"] >= 1
 
 
@@ -319,12 +245,12 @@ def test_run_many_with_policy_raises_batch_error_on_failure():
         2, [FaultSpec("kill_worker", rate=1.0, attempts=(1, 2))]
     )
     with pytest.raises(BatchError) as excinfo:
-        run_many(
+        require_ok(run_many(
             requests, processes=1,
             policy=FaultPolicy(max_retries=1, backoff_base_s=0.0,
                                keep_going=True),
             injector=injector,
-        )
+        ))
     assert "dead" in str(excinfo.value)
 
 
