@@ -8,10 +8,10 @@ the hand mappings - quantifying what the proposed tool would buy.
 
 import pytest
 
-from repro.power import PowerModel
-from repro.sdf import ParallelizationOptimizer
+from repro.power.model import PowerModel
+from repro.sdf.optimizer import ParallelizationOptimizer
 from repro.tech.parameters import PAPER_TECHNOLOGY
-from repro.workloads import parallel_studies
+from repro.workloads.parallel import parallel_studies
 
 
 def test_auto_allocation(benchmark):

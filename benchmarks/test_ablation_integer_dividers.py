@@ -9,7 +9,7 @@ per application.
 
 import pytest
 
-from repro.power import PowerModel
+from repro.power.model import PowerModel
 from repro.workloads.configs import all_applications
 from repro.workloads.realization import best_reference
 

@@ -10,11 +10,8 @@ synthetic motion.
 import numpy as np
 import pytest
 
-from repro.apps.mpeg4 import (
-    Mpeg4Encoder,
-    QCIF_SHAPE,
-    synthetic_sequence,
-)
+from repro.apps.mpeg4.encoder import Mpeg4Encoder, QCIF_SHAPE
+from repro.apps.mpeg4.frames import synthetic_sequence
 
 FRAMES = synthetic_sequence(3, shape=QCIF_SHAPE, motion_per_frame=(1, 2),
                             seed=2)

@@ -7,7 +7,9 @@ choice: max-log soft values buy roughly 2 dB at the waterfall.
 
 import numpy as np
 
-from repro.apps.wlan import Receiver, Transmitter, awgn_channel
+from repro.apps.wlan.channel import awgn_channel
+from repro.apps.wlan.receiver import Receiver
+from repro.apps.wlan.transmitter import Transmitter
 
 
 def test_soft_vs_hard(benchmark):

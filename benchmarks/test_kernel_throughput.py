@@ -4,9 +4,10 @@ cycle-level simulator itself."""
 import numpy as np
 import pytest
 
-from repro.apps.aes import Aes128
-from repro.apps.ddc import DigitalDownConverter
-from repro.apps.wlan import Receiver, Transmitter
+from repro.apps.aes.cipher import Aes128
+from repro.apps.ddc.pipeline import DigitalDownConverter
+from repro.apps.wlan.receiver import Receiver
+from repro.apps.wlan.transmitter import Transmitter
 from repro.apps.wlan.fft import fft
 from repro.apps.wlan.viterbi import ViterbiDecoder
 from repro.apps.wlan.convcode import ConvolutionalEncoder

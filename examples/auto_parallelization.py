@@ -9,10 +9,10 @@ same tile budgets.
     python examples/auto_parallelization.py
 """
 
-from repro.power import PowerModel
-from repro.sdf import ParallelizationOptimizer
+from repro.power.model import PowerModel
+from repro.sdf.optimizer import ParallelizationOptimizer
 from repro.tech.parameters import PAPER_TECHNOLOGY
-from repro.workloads import parallel_studies
+from repro.workloads.parallel import parallel_studies
 
 
 def main() -> None:

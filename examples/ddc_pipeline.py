@@ -9,11 +9,14 @@ the application's Table 4 power row.
 
 import numpy as np
 
-from repro.apps.ddc import DigitalDownConverter, gsm_configuration
-from repro.apps.ddc.pipeline import ddc_sdf_graph
-from repro.power import PowerModel
-from repro.sdf import ColumnAssignment, SdfMapper
-from repro.workloads import application
+from repro.apps.ddc.pipeline import (
+    DigitalDownConverter,
+    ddc_sdf_graph,
+    gsm_configuration,
+)
+from repro.power.model import PowerModel
+from repro.sdf.mapping import ColumnAssignment, SdfMapper
+from repro.workloads.configs import application
 
 
 def main() -> None:

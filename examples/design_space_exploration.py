@@ -15,11 +15,12 @@ simulation-backed divider sweep through the batched run API:
 
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.isa.assembler import assemble
-from repro.power import PowerModel
+from repro.power.model import PowerModel
 from repro.sim.batch import RunRequest, run_many
 from repro.sim.resilience import require_ok
 from repro.tech.parameters import PAPER_TECHNOLOGY
-from repro.workloads import LeakageStudy, ViterbiBusStudy, parallel_studies
+from repro.workloads.explorer import LeakageStudy, ViterbiBusStudy
+from repro.workloads.parallel import parallel_studies
 
 
 def parallelism() -> None:

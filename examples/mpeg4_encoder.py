@@ -10,9 +10,10 @@ Table 4 operating points.
 
 import numpy as np
 
-from repro.apps.mpeg4 import Mpeg4Encoder, QCIF_SHAPE, synthetic_sequence
-from repro.power import PowerModel
-from repro.workloads import application
+from repro.apps.mpeg4.encoder import Mpeg4Encoder, QCIF_SHAPE
+from repro.apps.mpeg4.frames import synthetic_sequence
+from repro.power.model import PowerModel
+from repro.workloads.configs import application
 
 
 def main() -> None:

@@ -8,10 +8,12 @@ kernel on the cycle-level simulator, and evaluate the power model.
 """
 
 from repro.arch.dou import DouCycle, linear_schedule
-from repro.isa import assemble
-from repro.power import CommProfile, ComponentSpec, PowerModel
-from repro.sdf import ColumnAssignment, SdfGraph, SdfMapper
-from repro.sim import run_single_column
+from repro.isa.assembler import assemble
+from repro.power.interconnect import CommProfile
+from repro.power.model import ComponentSpec, PowerModel
+from repro.sdf.graph import SdfGraph
+from repro.sdf.mapping import ColumnAssignment, SdfMapper
+from repro.sim.simulator import run_single_column
 
 
 def main() -> None:

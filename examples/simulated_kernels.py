@@ -9,15 +9,13 @@ the frequency each kernel would need at a Table 4-style rate.
     python examples/simulated_kernels.py
 """
 
-from repro.kernels import (
-    build_acs_kernel,
-    build_cic_chain_kernel,
-    build_dct_kernel,
-    build_fir_kernel,
-    build_mixer_kernel,
-    run_kernel,
-)
-from repro.power import CommProfile, ComponentSpec, PowerModel
+from repro.kernels.base import run_kernel
+from repro.kernels.cic import build_cic_chain_kernel
+from repro.kernels.dct import build_dct_kernel
+from repro.kernels.fir import build_fir_kernel
+from repro.kernels.mixer import build_mixer_kernel
+from repro.kernels.viterbi_acs import build_acs_kernel
+from repro.power.model import ComponentSpec, PowerModel
 from repro.workloads.measured import comm_profile_from_run
 
 

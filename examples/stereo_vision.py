@@ -10,13 +10,12 @@ points.
 
 import numpy as np
 
-from repro.apps.stereo import (
+from repro.apps.stereo.pipeline import (
     StereoVisionPipeline,
     synthetic_stereo_pair,
 )
-from repro.power import PowerModel
-from repro.power.model import savings_percent
-from repro.workloads import application
+from repro.power.model import PowerModel, savings_percent
+from repro.workloads.configs import application
 
 
 def main() -> None:

@@ -15,11 +15,11 @@ import sys
 from pathlib import Path
 
 from repro.eval.engines import build_ddc_stream_chip
-from repro.obs import (
+from repro.obs.events import subscribed
+from repro.obs.export import (
     ChromeTraceBuilder,
     CountingSink,
     JsonlSink,
-    subscribed,
     write_chrome_trace,
 )
 from repro.sim.engine import create_engine

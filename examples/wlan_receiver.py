@@ -10,9 +10,11 @@ receiver at its Table 4 operating points.
 
 import numpy as np
 
-from repro.apps.wlan import Receiver, Transmitter, awgn_channel
-from repro.power import PowerModel
-from repro.workloads import application
+from repro.apps.wlan.channel import awgn_channel
+from repro.apps.wlan.receiver import Receiver
+from repro.apps.wlan.transmitter import Transmitter
+from repro.power.model import PowerModel
+from repro.workloads.configs import application
 
 
 def bit_error_rate(rate_mbps: int, snr_db: float, bits: int = 2400,

@@ -17,46 +17,10 @@ The package is organized the way the paper is:
 
 Quick start::
 
-    from repro.power import PowerModel
-    from repro.workloads import application
+    from repro.power.model import PowerModel
+    from repro.workloads.configs import application
 
     ddc = application("ddc")
     power = PowerModel().application_power(ddc.name, ddc.specs)
     print(f"{power.total_mw:.0f} mW at 64 MS/s")
 """
-
-from repro.errors import (
-    AssemblyError,
-    ConfigurationError,
-    FrequencyRangeError,
-    MappingError,
-    ReproError,
-    SdfError,
-    SimulationError,
-)
-from repro.power import ApplicationPower, CommProfile, ComponentSpec, PowerModel
-from repro.tech import (
-    PAPER_TECHNOLOGY,
-    TechnologyParameters,
-    VoltageFrequencyCurve,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "ReproError",
-    "ConfigurationError",
-    "FrequencyRangeError",
-    "AssemblyError",
-    "SimulationError",
-    "SdfError",
-    "MappingError",
-    "PowerModel",
-    "ComponentSpec",
-    "CommProfile",
-    "ApplicationPower",
-    "TechnologyParameters",
-    "PAPER_TECHNOLOGY",
-    "VoltageFrequencyCurve",
-    "__version__",
-]

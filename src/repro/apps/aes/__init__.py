@@ -5,8 +5,3 @@ The paper composes an AES-based message authentication code with the
 (16 tiles @ 110 MHz / 0.8 V in Table 4).  The cipher here is a full
 FIPS-197 AES-128, validated against the standard's test vectors.
 """
-
-from repro.apps.aes.cipher import Aes128, encrypt_block, expand_key
-from repro.apps.aes.cbc_mac import cbc_mac
-
-__all__ = ["Aes128", "encrypt_block", "expand_key", "cbc_mac"]

@@ -7,26 +7,3 @@ filter - a 21-tap CIC-compensating FIR (CFIR) and a 63-tap
 programmable FIR (PFIR), mirroring the Graychip GC4014 structure the
 paper compares against.
 """
-
-from repro.apps.ddc.nco import NumericallyControlledOscillator
-from repro.apps.ddc.mixer import DigitalMixer
-from repro.apps.ddc.cic import CicDecimator, cic_gain, boxcar_reference
-from repro.apps.ddc.fir import (
-    FirDecimator,
-    design_cic_compensator,
-    design_lowpass,
-)
-from repro.apps.ddc.pipeline import DigitalDownConverter, gsm_configuration
-
-__all__ = [
-    "NumericallyControlledOscillator",
-    "DigitalMixer",
-    "CicDecimator",
-    "cic_gain",
-    "boxcar_reference",
-    "FirDecimator",
-    "design_lowpass",
-    "design_cic_compensator",
-    "DigitalDownConverter",
-    "gsm_configuration",
-]

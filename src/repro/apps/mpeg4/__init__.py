@@ -6,39 +6,3 @@ estimation, the 8x8 DCT, and quantization - plus the inverse
 quantization/IDCT reconstruction loop - at QCIF (176x144) and CIF
 (352x288), 30 frames per second.
 """
-
-from repro.apps.mpeg4.dct import dct2, idct2, dct_matrix
-from repro.apps.mpeg4.quant import quantize, dequantize
-from repro.apps.mpeg4.motion import (
-    MotionVector,
-    full_search,
-    motion_compensate,
-    sad,
-    three_step_search,
-)
-from repro.apps.mpeg4.encoder import (
-    EncodedFrame,
-    Mpeg4Encoder,
-    CIF_SHAPE,
-    QCIF_SHAPE,
-)
-from repro.apps.mpeg4.frames import psnr, synthetic_sequence
-
-__all__ = [
-    "dct2",
-    "idct2",
-    "dct_matrix",
-    "quantize",
-    "dequantize",
-    "MotionVector",
-    "sad",
-    "full_search",
-    "three_step_search",
-    "motion_compensate",
-    "Mpeg4Encoder",
-    "EncodedFrame",
-    "QCIF_SHAPE",
-    "CIF_SHAPE",
-    "psnr",
-    "synthetic_sequence",
-]

@@ -4,28 +4,3 @@ The Mars-Rover-style pipeline [26]: Tomasi-Kanade point-feature
 extraction [10] followed by SVD-based point correspondence [30]
 (Pilu's method), on 256x256 monochrome frames at 10 f/s.
 """
-
-from repro.apps.stereo.features import (
-    FeaturePoint,
-    extract_features,
-    min_eigenvalue_response,
-)
-from repro.apps.stereo.correlate import extract_patch, normalized_correlation
-from repro.apps.stereo.svd import pilu_correspondence
-from repro.apps.stereo.pipeline import (
-    StereoMatch,
-    StereoVisionPipeline,
-    synthetic_stereo_pair,
-)
-
-__all__ = [
-    "FeaturePoint",
-    "extract_features",
-    "min_eigenvalue_response",
-    "extract_patch",
-    "normalized_correlation",
-    "pilu_correspondence",
-    "StereoMatch",
-    "StereoVisionPipeline",
-    "synthetic_stereo_pair",
-]

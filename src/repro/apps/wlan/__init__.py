@@ -10,45 +10,3 @@ traceback) - onto 20 tiles (Table 4).
 We implement both transmitter and receiver so the receiver is tested
 end-to-end over an AWGN channel at every rate.
 """
-
-from repro.apps.wlan.fft import fft, ifft
-from repro.apps.wlan.scrambler import Scrambler, pilot_polarity
-from repro.apps.wlan.convcode import ConvolutionalEncoder, puncture, depuncture
-from repro.apps.wlan.viterbi import ViterbiDecoder
-from repro.apps.wlan.interleaver import interleave, deinterleave
-from repro.apps.wlan.modulation import Demodulator, Modulator, SoftDemodulator
-from repro.apps.wlan.frame import RateParameters, RATE_TABLE, rate_parameters
-from repro.apps.wlan.transmitter import Transmitter
-from repro.apps.wlan.receiver import Receiver
-from repro.apps.wlan.channel import (
-    awgn_channel,
-    flat_fading_channel,
-    multipath_channel,
-)
-from repro.apps.wlan.secure import SecureLink, SecureReceiveResult
-
-__all__ = [
-    "fft",
-    "ifft",
-    "Scrambler",
-    "pilot_polarity",
-    "ConvolutionalEncoder",
-    "puncture",
-    "depuncture",
-    "ViterbiDecoder",
-    "interleave",
-    "deinterleave",
-    "Modulator",
-    "Demodulator",
-    "SoftDemodulator",
-    "RateParameters",
-    "RATE_TABLE",
-    "rate_parameters",
-    "Transmitter",
-    "Receiver",
-    "awgn_channel",
-    "flat_fading_channel",
-    "multipath_channel",
-    "SecureLink",
-    "SecureReceiveResult",
-]

@@ -7,32 +7,3 @@ clock divider and supply voltage.  A single horizontal bus links the
 columns; Zero-Overhead Rate-Matching counters insert nops to match
 rationally related column rates.
 """
-
-from repro.arch.buffers import CommBuffer
-from repro.arch.bus import SegmentedBus
-from repro.arch.chip import Chip, Column, PORT_POSITION
-from repro.arch.clocking import ClockTree
-from repro.arch.config import ChipConfig, ColumnConfig
-from repro.arch.dou import Dou, DouCycle, DouProgram, DouState, linear_schedule
-from repro.arch.rate_match import ZormCounter
-from repro.arch.simd import SimdController
-from repro.arch.tile import Tile
-
-__all__ = [
-    "CommBuffer",
-    "SegmentedBus",
-    "Chip",
-    "Column",
-    "PORT_POSITION",
-    "ClockTree",
-    "ChipConfig",
-    "ColumnConfig",
-    "Dou",
-    "DouCycle",
-    "DouProgram",
-    "DouState",
-    "linear_schedule",
-    "ZormCounter",
-    "SimdController",
-    "Tile",
-]

@@ -107,9 +107,9 @@ class SegmentedBus:
     def span_of_transfer(self, split: int, src: int, dst: int) -> float:
         """Fraction of the bus length a src->dst transfer charges.
 
-        Used to derive :class:`repro.power.CommProfile` span fractions
-        from simulated schedules: only the segments between source and
-        destination (inclusive) switch.
+        Used to derive :class:`repro.power.interconnect.CommProfile`
+        span fractions from simulated schedules: only the segments
+        between source and destination (inclusive) switch.
         """
         if not self.connected(split, src, dst):
             raise SimulationError(

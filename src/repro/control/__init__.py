@@ -14,46 +14,3 @@ multi-column pipelines end to end - per-stage governors under a
 cross-domain rate-matching policy, single-boundary commits, and
 power gating of quiescent columns.
 """
-
-from repro.control.governor import (
-    GOVERNOR_KINDS,
-    Governor,
-    OccupancyPIGovernor,
-    SlackGovernor,
-    StaticGovernor,
-    Telemetry,
-    create_governor,
-    validate_ladder,
-)
-from repro.control.transitions import TransitionModel, TransitionRecord
-from repro.control.epochs import (
-    GovernedRun,
-    run_governed,
-    snapshot_telemetry,
-)
-from repro.control.coordinator import (
-    CoordinatedGovernor,
-    GateSegment,
-    IndependentSlackGovernor,
-    plan_power_gating,
-)
-
-__all__ = [
-    "CoordinatedGovernor",
-    "GOVERNOR_KINDS",
-    "GateSegment",
-    "Governor",
-    "GovernedRun",
-    "IndependentSlackGovernor",
-    "OccupancyPIGovernor",
-    "SlackGovernor",
-    "StaticGovernor",
-    "Telemetry",
-    "TransitionModel",
-    "TransitionRecord",
-    "create_governor",
-    "plan_power_gating",
-    "run_governed",
-    "snapshot_telemetry",
-    "validate_ladder",
-]

@@ -44,7 +44,6 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.control.governor import (
-    GOVERNOR_KINDS,
     Governor,
     SlackGovernor,
     Telemetry,
@@ -371,9 +370,6 @@ class CoordinatedGovernor(Governor):
         return min(proposal, matched)
 
 
-GOVERNOR_KINDS[CoordinatedGovernor.name] = CoordinatedGovernor
-
-
 class IndependentSlackGovernor(Governor):
     """Per-column deadline governors with no cross-domain state.
 
@@ -448,9 +444,6 @@ class IndependentSlackGovernor(Governor):
             view = replace(telemetry, extras=extras)
             dividers[stage] = governor.decide(view)[stage]
         return tuple(dividers)
-
-
-GOVERNOR_KINDS[IndependentSlackGovernor.name] = IndependentSlackGovernor
 
 
 # ----------------------------------------------------------------------

@@ -32,13 +32,11 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "GOVERNOR_KINDS",
     "Governor",
     "OccupancyPIGovernor",
     "SlackGovernor",
     "StaticGovernor",
     "Telemetry",
-    "create_governor",
     "validate_ladder",
 ]
 
@@ -330,50 +328,3 @@ class SlackGovernor(Governor):
             self.ladder, ticks, words, cycles_per_word, self.guard
         )
         return divider if divider is not None else self.ladder[0]
-
-
-#: Governor registry by policy name.  ``repro.control.coordinator``
-#: registers :class:`CoordinatedGovernor` and
-#: :class:`IndependentSlackGovernor` here on import (the package
-#: ``__init__`` imports it, so the registry is complete whenever
-#: ``repro.control`` is), mirroring how simulation engines register in
-#: :data:`repro.sim.engine.ENGINES`.
-GOVERNOR_KINDS: dict = {
-    StaticGovernor.name: StaticGovernor,
-    OccupancyPIGovernor.name: OccupancyPIGovernor,
-    SlackGovernor.name: SlackGovernor,
-}
-
-
-def create_governor(
-    name: str, *args, context: str | None = None, **kwargs
-) -> Governor:
-    """Instantiate a governor by registry name.
-
-    The control-layer analogue of
-    :func:`repro.sim.engine.create_engine`: positional and keyword
-    arguments are forwarded to the policy's constructor (most take the
-    divider ladder first), and an unknown name raises a
-    :class:`~repro.errors.ConfigurationError` listing the valid
-    choices - a configuration mistake, distinguishable from runtime
-    simulation failures.  ``context`` (keyword-only, never forwarded)
-    names where the parameter came from - e.g. a generated scenario's
-    ``(seed, index)`` - so fuzz failures identify themselves.
-    """
-    prefix = f"{context}: " if context else ""
-    try:
-        factory = GOVERNOR_KINDS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"{prefix}unknown governor {name!r}; available: "
-            f"{sorted(GOVERNOR_KINDS)}"
-        ) from None
-    try:
-        return factory(*args, **kwargs)
-    except ConfigurationError as exc:
-        if context:
-            raise ConfigurationError(
-                f"{prefix}governor {name!r} rejected its "
-                f"parameters: {exc}"
-            ) from exc
-        raise

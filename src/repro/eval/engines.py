@@ -484,8 +484,12 @@ def trace_workloads(
     traced/untraced wall-clock ratio per workload, and the artifact
     path.
     """
-    from repro.obs import ChromeTraceBuilder, CountingSink, subscribed
-    from repro.obs.export import write_chrome_trace
+    from repro.obs.events import subscribed
+    from repro.obs.export import (
+        ChromeTraceBuilder,
+        CountingSink,
+        write_chrome_trace,
+    )
 
     builder = ChromeTraceBuilder()
     counts = CountingSink()

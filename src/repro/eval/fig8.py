@@ -84,7 +84,7 @@ def measured_words_per_step(processes: int | None = 1) -> float:
     scaled = activity.scaled_to(ANCHOR_TILES)
     # words/step = words/cycle * cycles/step; the kernel processes
     # one trellis step per logical sample.
-    from repro.kernels import build_acs_kernel
+    from repro.kernels.viterbi_acs import build_acs_kernel
 
     steps = build_acs_kernel().samples
     return scaled.bus_words / steps

@@ -359,7 +359,8 @@ def main(argv: list | None = None) -> None:
         parser.error("--fuzz-seed/--fuzz-count only apply to --fuzz")
     if args.fuzz:
         from repro.eval import fuzz
-        from repro.obs import CountingSink, subscribed
+        from repro.obs.events import subscribed
+        from repro.obs.export import CountingSink
 
         if args.experiments:
             parser.error("--fuzz generates its own scenarios; drop "
@@ -414,7 +415,8 @@ def main(argv: list | None = None) -> None:
         return
     if args.dvfs or args.coordinated:
         from repro.eval import governed
-        from repro.obs import CountingSink, subscribed
+        from repro.obs.events import subscribed
+        from repro.obs.export import CountingSink
 
         name = "dvfs" if args.dvfs else "coordinated"
         if args.experiments:
@@ -430,7 +432,8 @@ def main(argv: list | None = None) -> None:
         )
         return
     if args.measured:
-        from repro.obs import CountingSink, subscribed
+        from repro.obs.events import subscribed
+        from repro.obs.export import CountingSink
 
         names = args.experiments
         if names is not None:

@@ -6,34 +6,3 @@ defines the register files, the instruction set (compute instructions
 executed by tiles, control instructions executed by the controller),
 a binary encoding, and a two-pass assembler.
 """
-
-from repro.isa.registers import (
-    ACCUMULATORS,
-    COMM_REGISTER,
-    DATA_REGISTERS,
-    POINTER_REGISTERS,
-    RegisterFile,
-    register_index,
-    register_name,
-)
-from repro.isa.instructions import Instruction, Opcode, ALL_TILES_MASK
-from repro.isa.encoding import decode, encode
-from repro.isa.assembler import assemble
-from repro.isa.program import Program
-
-__all__ = [
-    "DATA_REGISTERS",
-    "POINTER_REGISTERS",
-    "ACCUMULATORS",
-    "COMM_REGISTER",
-    "RegisterFile",
-    "register_index",
-    "register_name",
-    "Instruction",
-    "Opcode",
-    "ALL_TILES_MASK",
-    "encode",
-    "decode",
-    "assemble",
-    "Program",
-]

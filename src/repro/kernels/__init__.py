@@ -9,25 +9,3 @@ Each kernel bundles a column program, an (optionally compiled) DOU
 schedule, tile memory images, and a correctness check against its
 functional reference.
 """
-
-from repro.kernels.base import Kernel, KernelRun, run_kernel
-from repro.kernels.fir import build_fir_kernel
-from repro.kernels.mixer import build_mixer_kernel
-from repro.kernels.cic import build_cic_chain_kernel, \
-    build_cic_comb_kernel
-from repro.kernels.viterbi_acs import build_acs_kernel
-from repro.kernels.dct import build_dct_kernel
-from repro.kernels.streams import build_mixer_stream_kernel
-
-__all__ = [
-    "Kernel",
-    "KernelRun",
-    "run_kernel",
-    "build_fir_kernel",
-    "build_mixer_kernel",
-    "build_cic_chain_kernel",
-    "build_cic_comb_kernel",
-    "build_acs_kernel",
-    "build_dct_kernel",
-    "build_mixer_stream_kernel",
-]

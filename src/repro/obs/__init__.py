@@ -23,35 +23,3 @@ and a no-sink run produce bit-identical
 :class:`~repro.sim.stats.SimulationStats` (asserted differentially),
 because sinks only observe - no emission site steers control flow.
 """
-
-from repro.obs.events import (
-    BUS,
-    CounterEvent,
-    Event,
-    EventBus,
-    InstantEvent,
-    SpanEvent,
-    subscribed,
-)
-from repro.obs.export import (
-    ChromeTraceBuilder,
-    CountingSink,
-    JsonlSink,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-
-__all__ = [
-    "BUS",
-    "ChromeTraceBuilder",
-    "CounterEvent",
-    "CountingSink",
-    "Event",
-    "EventBus",
-    "InstantEvent",
-    "JsonlSink",
-    "SpanEvent",
-    "subscribed",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]

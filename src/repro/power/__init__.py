@@ -9,42 +9,3 @@ parameter derivation (Section 4.2), switched-capacitance bus power
 (Section 4.3), and single- versus multiple-voltage comparisons
 (Section 5.1, Table 4, Figure 6).
 """
-
-from repro.power.interconnect import CommProfile
-from repro.power.measured import (
-    ActivityProfile,
-    DomainEnergy,
-    EnergyLedger,
-    activity_from_stats,
-    comm_profile_from_activity,
-    spec_from_activity,
-)
-from repro.power.model import (
-    ApplicationPower,
-    ComponentPower,
-    ComponentSpec,
-    PowerModel,
-)
-from repro.power.tile_power import (
-    UParameterDerivation,
-    u_reference_mw_per_mhz,
-)
-from repro.power.report import format_application_power, format_component_rows
-
-__all__ = [
-    "ActivityProfile",
-    "CommProfile",
-    "ComponentSpec",
-    "ComponentPower",
-    "ApplicationPower",
-    "DomainEnergy",
-    "EnergyLedger",
-    "PowerModel",
-    "activity_from_stats",
-    "comm_profile_from_activity",
-    "spec_from_activity",
-    "UParameterDerivation",
-    "u_reference_mw_per_mhz",
-    "format_application_power",
-    "format_component_rows",
-]

@@ -7,34 +7,3 @@ detection, and fully static schedules decidable.  This subpackage
 provides those analyses plus the mapping step from SDF actors onto
 Synchroscalar columns (frequencies, voltages, rate matching).
 """
-
-from repro.sdf.graph import Actor, Edge, SdfGraph
-from repro.sdf.analysis import (
-    check_deadlock_free,
-    is_consistent,
-    repetition_vector,
-)
-from repro.sdf.schedule import SdfSchedule, build_schedule
-from repro.sdf.mapping import ColumnAssignment, MappedApplication, SdfMapper
-from repro.sdf.optimizer import (
-    AllocationStep,
-    OptimizationResult,
-    ParallelizationOptimizer,
-)
-
-__all__ = [
-    "Actor",
-    "Edge",
-    "SdfGraph",
-    "repetition_vector",
-    "is_consistent",
-    "check_deadlock_free",
-    "SdfSchedule",
-    "build_schedule",
-    "ColumnAssignment",
-    "MappedApplication",
-    "SdfMapper",
-    "ParallelizationOptimizer",
-    "OptimizationResult",
-    "AllocationStep",
-]

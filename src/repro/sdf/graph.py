@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import SdfError
 
 
@@ -129,20 +127,21 @@ class SdfGraph:
         """Channels consumed by ``name``."""
         return [e for e in self._edges if e.dst == name]
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """The underlying directed multigraph."""
-        graph = nx.MultiDiGraph(name=self.name)
-        for name, actor in self._actors.items():
-            graph.add_node(name, actor=actor)
-        for edge in self._edges:
-            graph.add_edge(edge.src, edge.dst, edge=edge)
-        return graph
-
     def is_connected(self) -> bool:
         """Whether the graph is weakly connected (one application)."""
         if not self._actors:
             return False
-        return nx.is_weakly_connected(self.to_networkx())
+        # Grow the set reached from the first actor across channels in
+        # either direction until no channel leaves it.
+        reached = {next(iter(self._actors))}
+        grew = True
+        while grew:
+            grew = False
+            for edge in self._edges:
+                if (edge.src in reached) != (edge.dst in reached):
+                    reached |= {edge.src, edge.dst}
+                    grew = True
+        return len(reached) == len(self._actors)
 
     def sources(self) -> list:
         """Actors with no inputs (application entry points)."""

@@ -81,7 +81,7 @@ class MappedApplication:
         return max(c.frequency_mhz for c in self.components)
 
     def component_specs(self, comm_profiles: dict | None = None) -> list:
-        """Bridge to :class:`repro.power.PowerModel` inputs."""
+        """Bridge to :class:`repro.power.model.PowerModel` inputs."""
         comm_profiles = comm_profiles or {}
         return [
             ComponentSpec(

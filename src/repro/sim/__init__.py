@@ -13,41 +13,3 @@ tick-accurate ``ReferenceEngine`` and the hyperperiod-compiled
 :mod:`repro.sim.batch` runs many chip configurations as supervised
 jobs (:mod:`repro.sim.resilience`).
 """
-
-from repro.sim.batch import (
-    RunRequest,
-    parallel_map,
-    run_many,
-)
-from repro.sim.engine import (
-    CompiledEngine,
-    Engine,
-    ReferenceEngine,
-    create_engine,
-)
-from repro.sim.faultinject import FaultInjector, FaultSpec
-from repro.sim.resilience import FaultPolicy, JobOutcome, require_ok
-from repro.sim.simulator import Simulator, run_single_column
-from repro.sim.stats import ColumnStats, SimulationStats
-from repro.sim.trace import TraceEvent, Tracer
-
-__all__ = [
-    "CompiledEngine",
-    "Engine",
-    "FaultInjector",
-    "FaultPolicy",
-    "FaultSpec",
-    "JobOutcome",
-    "ReferenceEngine",
-    "RunRequest",
-    "Simulator",
-    "create_engine",
-    "parallel_map",
-    "require_ok",
-    "run_many",
-    "run_single_column",
-    "ColumnStats",
-    "SimulationStats",
-    "TraceEvent",
-    "Tracer",
-]

@@ -2122,9 +2122,7 @@ class CompiledEngine(Engine):
             BUS.span("drain", start, start + ticks, track="engine")
 
 
-#: Engine registry by name - the lookup behind :func:`create_engine`
-#: and the pattern :data:`repro.control.governor.GOVERNOR_KINDS`
-#: mirrors for governors.
+#: Engine registry by name - the lookup behind :func:`create_engine`.
 ENGINES = {
     ReferenceEngine.name: ReferenceEngine,
     CompiledEngine.name: CompiledEngine,

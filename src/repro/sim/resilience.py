@@ -131,7 +131,6 @@ class JobOutcome:
     """
 
     label: str
-    key: str
     status: str
     stats: object = None
     attempts: int = 0
@@ -390,7 +389,7 @@ class _Supervisor:
                 "job_degraded" if degraded else "job_done", job
             )
             self._land(index, JobOutcome(
-                label=job.label, key=job.key, status=status,
+                label=job.label, status=status,
                 stats=payload, attempts=job.attempts,
                 retries=job.attempts - 1, degraded=degraded,
             ))
@@ -420,7 +419,7 @@ class _Supervisor:
             self.queue.append(index)
             return
         outcome = JobOutcome(
-            label=job.label, key=job.key, status=status,
+            label=job.label, status=status,
             attempts=job.attempts, retries=job.attempts - 1,
             degraded=degraded, error=payload,
         )

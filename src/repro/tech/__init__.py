@@ -5,20 +5,3 @@ Technology Model experiments (Section 4, Table 1), its Synopsys synthesis
 results (Table 2), the "Future of Wires" interconnect data (Section 4.3),
 and the analytic leakage model (Section 4.4).
 """
-
-from repro.tech.parameters import TechnologyParameters, PAPER_TECHNOLOGY
-from repro.tech.vf_curve import VoltageFrequencyCurve
-from repro.tech.leakage import LeakageModel, LEAKAGE_SWEEP_MA_PER_TILE
-from repro.tech.wires import WireModel, BusGeometry
-from repro.tech.area import AreaModel
-
-__all__ = [
-    "TechnologyParameters",
-    "PAPER_TECHNOLOGY",
-    "VoltageFrequencyCurve",
-    "LeakageModel",
-    "LEAKAGE_SWEEP_MA_PER_TILE",
-    "WireModel",
-    "BusGeometry",
-    "AreaModel",
-]

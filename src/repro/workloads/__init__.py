@@ -7,51 +7,3 @@ studies; ``explorer`` implements the Viterbi bus-width trade-off of
 Figure 8 and the leakage sweeps; ``baselines`` holds the published
 platform figures of Table 3.
 """
-
-from repro.workloads.configs import (
-    ApplicationConfig,
-    all_applications,
-    application,
-    ddc_config,
-    mpeg4_cif_config,
-    mpeg4_qcif_config,
-    stereo_config,
-    wlan_aes_config,
-    wlan_config,
-)
-from repro.workloads.parallel import (
-    ParallelComponent,
-    ParallelStudy,
-    parallel_studies,
-)
-from repro.workloads.explorer import (
-    BusWidthPoint,
-    LeakageStudy,
-    ViterbiBusStudy,
-)
-from repro.workloads.baselines import (
-    PlatformFigure,
-    TABLE3_PLATFORMS,
-    efficiency_nw_per_sample,
-)
-
-__all__ = [
-    "ApplicationConfig",
-    "application",
-    "all_applications",
-    "ddc_config",
-    "stereo_config",
-    "wlan_config",
-    "wlan_aes_config",
-    "mpeg4_qcif_config",
-    "mpeg4_cif_config",
-    "ParallelComponent",
-    "ParallelStudy",
-    "parallel_studies",
-    "ViterbiBusStudy",
-    "BusWidthPoint",
-    "LeakageStudy",
-    "PlatformFigure",
-    "TABLE3_PLATFORMS",
-    "efficiency_nw_per_sample",
-]

@@ -49,7 +49,7 @@ class ApplicationConfig:
 
     @property
     def specs(self) -> list:
-        """Component specs for :class:`repro.power.PowerModel`."""
+        """Component specs for :class:`repro.power.model.PowerModel`."""
         return list(self.components)
 
     @property

@@ -53,8 +53,9 @@ from repro.control.coordinator import (
 from repro.control.epochs import GovernedRun, run_governed
 from repro.control.governor import (
     Governor,
+    OccupancyPIGovernor,
+    SlackGovernor,
     StaticGovernor,
-    create_governor,
     slowest_safe_divider,
 )
 from repro.control.transitions import TransitionModel
@@ -752,15 +753,15 @@ def pipeline_governor(
 ) -> Governor:
     """Construct one of the evaluated pipeline policies.
 
-    Accepts every name in :data:`PIPELINE_GOVERNORS`; any other name
-    goes to :func:`~repro.control.governor.create_governor` over the
-    scenario's divider ladder, which builds ``occupancy_pi`` and
-    ``slack``.
+    Accepts every name in :data:`PIPELINE_GOVERNORS` and the
+    single-column feedback policies ``occupancy_pi`` and ``slack``,
+    which run over the scenario's divider ladder.
 
     Raises
     ------
     ConfigurationError
-        For an unregistered name, with the valid choices listed.
+        For any other name, prefixed with the scenario's key and with
+        the valid choices listed.
     """
     if kind == "static":
         return StaticGovernor(scenario.static_dividers())
@@ -784,8 +785,13 @@ def pipeline_governor(
             ),
             predecessors=scenario.stage_predecessors,
         )
-    return create_governor(
-        kind, scenario.divider_ladder, context=scenario.key
+    if kind == "occupancy_pi":
+        return OccupancyPIGovernor(scenario.divider_ladder)
+    if kind == "slack":
+        return SlackGovernor(scenario.divider_ladder)
+    raise ConfigurationError(
+        f"{scenario.key}: unknown governor {kind!r}; available: "
+        f"{sorted(PIPELINE_GOVERNORS + ('occupancy_pi', 'slack'))}"
     )
 
 

@@ -27,17 +27,13 @@ from repro.power.measured import (
     activity_from_stats,
     comm_profile_from_activity,
 )
-from repro.kernels import (
-    build_acs_kernel,
-    build_cic_chain_kernel,
-    build_cic_comb_kernel,
-    build_dct_kernel,
-    build_fir_kernel,
-    build_mixer_kernel,
-    build_mixer_stream_kernel,
-    run_kernel,
-)
 from repro.kernels.base import Kernel, KernelRun
+from repro.kernels.cic import build_cic_chain_kernel, build_cic_comb_kernel
+from repro.kernels.dct import build_dct_kernel
+from repro.kernels.fir import build_fir_kernel
+from repro.kernels.mixer import build_mixer_kernel
+from repro.kernels.streams import build_mixer_stream_kernel
+from repro.kernels.viterbi_acs import build_acs_kernel
 from repro.power.model import ComponentSpec
 from repro.sim.batch import RunRequest, run_many
 from repro.sim.resilience import require_ok
@@ -241,31 +237,3 @@ def measured_application(
     return MeasuredApplication(
         config=config, components=tuple(components)
     )
-
-
-def measured_kernel_table() -> dict:
-    """Run every bundled kernel; return its measured summary.
-
-    Keys are kernel names; values carry the quantities Section 4.1
-    consumes: cycles/sample, issued instructions, and bus words per
-    cycle.
-    """
-    builders = (
-        build_fir_kernel,
-        build_mixer_kernel,
-        build_mixer_stream_kernel,
-        build_cic_chain_kernel,
-        build_cic_comb_kernel,
-        build_acs_kernel,
-        build_dct_kernel,
-    )
-    table = {}
-    for builder in builders:
-        kernel = builder()
-        run = run_kernel(kernel)
-        table[kernel.name] = {
-            "cycles_per_sample": run.cycles_per_sample,
-            "issued": run.issued,
-            "bus_words_per_cycle": run.bus_words_per_cycle,
-        }
-    return table

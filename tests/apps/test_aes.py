@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.apps.aes import Aes128, cbc_mac, encrypt_block, expand_key
-from repro.apps.aes.cipher import INV_SBOX, SBOX, gf_multiply
+from repro.apps.aes.cbc_mac import cbc_mac
+from repro.apps.aes.cipher import (
+    Aes128,
+    INV_SBOX,
+    SBOX,
+    encrypt_block,
+    expand_key,
+    gf_multiply,
+)
 
 
 class TestGaloisField:

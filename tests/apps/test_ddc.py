@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.ddc import (
-    CicDecimator,
-    DigitalDownConverter,
-    DigitalMixer,
+from repro.apps.ddc.cic import CicDecimator, boxcar_reference, cic_gain
+from repro.apps.ddc.fir import (
     FirDecimator,
-    NumericallyControlledOscillator,
-    boxcar_reference,
-    cic_gain,
+    cic_droop,
     design_cic_compensator,
     design_lowpass,
+)
+from repro.apps.ddc.mixer import DigitalMixer
+from repro.apps.ddc.nco import NumericallyControlledOscillator
+from repro.apps.ddc.pipeline import (
+    DigitalDownConverter,
+    ddc_sdf_graph,
     gsm_configuration,
 )
-from repro.apps.ddc.fir import cic_droop
-from repro.apps.ddc.pipeline import ddc_sdf_graph
-from repro.sdf import ColumnAssignment, SdfMapper, repetition_vector
+from repro.sdf.analysis import repetition_vector
+from repro.sdf.mapping import ColumnAssignment, SdfMapper
 
 
 class TestNco:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.mpeg4 import Mpeg4Encoder, QCIF_SHAPE, synthetic_sequence
+from repro.apps.mpeg4.encoder import Mpeg4Encoder, QCIF_SHAPE
+from repro.apps.mpeg4.frames import synthetic_sequence
 from repro.apps.mpeg4.entropy import (
     block_bits,
     exp_golomb_bits,

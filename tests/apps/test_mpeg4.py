@@ -5,24 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import dctn, idctn
 
-from repro.apps.mpeg4 import (
-    CIF_SHAPE,
-    EncodedFrame,
-    Mpeg4Encoder,
+from repro.apps.mpeg4.dct import blockwise, dct2, dct_matrix, idct2
+from repro.apps.mpeg4.encoder import CIF_SHAPE, Mpeg4Encoder, QCIF_SHAPE
+from repro.apps.mpeg4.frames import psnr, synthetic_sequence
+from repro.apps.mpeg4.motion import (
     MotionVector,
-    QCIF_SHAPE,
-    dct2,
-    dequantize,
     full_search,
-    idct2,
     motion_compensate,
-    psnr,
-    quantize,
     sad,
-    synthetic_sequence,
     three_step_search,
 )
-from repro.apps.mpeg4.dct import blockwise, dct_matrix
+from repro.apps.mpeg4.quant import dequantize, quantize
 
 
 class TestDct:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.mpeg4 import Mpeg4Encoder, QCIF_SHAPE, synthetic_sequence
+from repro.apps.mpeg4.encoder import Mpeg4Encoder, QCIF_SHAPE
+from repro.apps.mpeg4.frames import synthetic_sequence
 from repro.apps.mpeg4.rate_control import (
     RateController,
     encode_with_rate_control,

@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.apps.stereo import (
-    StereoVisionPipeline,
-    extract_features,
-    extract_patch,
-    min_eigenvalue_response,
-    normalized_correlation,
-    pilu_correspondence,
-    synthetic_stereo_pair,
-)
+from repro.apps.stereo.correlate import extract_patch, normalized_correlation
 from repro.apps.stereo.features import (
+    extract_features,
     image_gradients,
+    min_eigenvalue_response,
     non_maximum_suppression,
 )
-from repro.apps.stereo.svd import amplify, pairing_matrix
+from repro.apps.stereo.pipeline import (
+    StereoVisionPipeline,
+    synthetic_stereo_pair,
+)
+from repro.apps.stereo.svd import amplify, pairing_matrix, pilu_correspondence
 
 
 def _corner_image(size=64):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.apps.wlan import Receiver, Transmitter, awgn_channel
-from repro.apps.wlan.channel import flat_fading_channel
+from repro.apps.wlan.channel import awgn_channel, flat_fading_channel
+from repro.apps.wlan.receiver import Receiver
+from repro.apps.wlan.transmitter import Transmitter
 from repro.apps.wlan.frame import RATE_TABLE, SYMBOL_SAMPLES
 from repro.errors import ConfigurationError
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.wlan import Receiver, Transmitter
+from repro.apps.wlan.receiver import Receiver
+from repro.apps.wlan.transmitter import Transmitter
 from repro.apps.wlan.channel import multipath_channel
 from repro.apps.wlan.fft import fft
 from repro.apps.wlan.frame import (

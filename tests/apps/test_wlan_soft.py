@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apps.wlan import (
-    Modulator,
-    Receiver,
-    SoftDemodulator,
-    Transmitter,
-    awgn_channel,
-)
+from repro.apps.wlan.channel import awgn_channel
+from repro.apps.wlan.modulation import Modulator, SoftDemodulator
+from repro.apps.wlan.receiver import Receiver
+from repro.apps.wlan.transmitter import Transmitter
 from repro.errors import ConfigurationError
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.arch.builder import build_chip_plan
-from repro.sdf import ColumnAssignment, SdfGraph, SdfMapper
+from repro.sdf.graph import SdfGraph
+from repro.sdf.mapping import ColumnAssignment, SdfMapper
 
 
 def _mapped_ddc_front_end():

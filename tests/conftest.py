@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.power import PowerModel
-from repro.tech import PAPER_TECHNOLOGY, VoltageFrequencyCurve
+from repro.power.model import PowerModel
+from repro.tech.parameters import PAPER_TECHNOLOGY
+from repro.tech.vf_curve import VoltageFrequencyCurve
 
 
 @pytest.fixture

@@ -1,26 +1,13 @@
 """Chip-level coordinator: cross-domain policy and gate planning."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
-
-import repro
 
 from repro.control.coordinator import (
     CoordinatedGovernor,
     GateSegment,
     plan_power_gating,
 )
-from repro.control.governor import (
-    GOVERNOR_KINDS,
-    SlackGovernor,
-    StaticGovernor,
-    Telemetry,
-    create_governor,
-)
+from repro.control.governor import SlackGovernor, StaticGovernor, Telemetry
 from repro.errors import ConfigurationError
 from repro.sim.stats import EpochColumnActivity, EpochRecord
 
@@ -101,11 +88,6 @@ class TestConstruction:
             CoordinatedGovernor(LADDER, CPW, match_occupancy=25)
         with pytest.raises(ConfigurationError):
             CoordinatedGovernor(LADDER, CPW, match_occupancy=-0.1)
-
-    def test_registered_for_create_governor(self):
-        assert "coordinated" in GOVERNOR_KINDS
-        governor = create_governor("coordinated", LADDER, CPW)
-        assert isinstance(governor, CoordinatedGovernor)
 
     def test_reset_recurses_into_children(self):
         class Spy(StaticGovernor):
@@ -264,28 +246,6 @@ class TestDecide:
             extras=deadline_extras((100, 300, 400)),
         )
         assert governor.decide(snapshot) == governor.decide(snapshot)
-
-
-def test_independent_registers_with_the_control_package():
-    """A fresh interpreter importing only ``repro.control`` can build
-    every governor kind, ``independent`` included."""
-    code = (
-        "import sys\n"
-        "from repro.control import create_governor\n"
-        "governor = create_governor('independent', (1, 2, 4, 8), "
-        "(8.0, 8.0))\n"
-        "assert not any(name.startswith('repro.workloads') "
-        "for name in sys.modules)\n"
-        "print(type(governor).__name__)\n"
-    )
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "IndependentSlackGovernor"
 
 
 def record(index, start, end, dividers, quiet):

@@ -5,12 +5,9 @@ import pytest
 from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou_compiler import Transfer, compile_schedule
-from repro.control import (
-    Governor,
-    StaticGovernor,
-    TransitionModel,
-    run_governed,
-)
+from repro.control.epochs import run_governed
+from repro.control.governor import Governor, StaticGovernor
+from repro.control.transitions import TransitionModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.isa.assembler import assemble
 from repro.sim.engine import CompiledEngine
@@ -311,7 +308,7 @@ def test_budget_parity_with_plain_run_on_partial_final_window():
 def test_reused_stateful_governor_replays_identically():
     """A reused OccupancyPIGovernor must not leak integral state
     between runs - the cross-engine differential depends on it."""
-    from repro.control import OccupancyPIGovernor
+    from repro.control.governor import OccupancyPIGovernor
 
     governor = OccupancyPIGovernor((2, 4, 8))
     runs = {}

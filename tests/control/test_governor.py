@@ -186,40 +186,9 @@ class TestLadderValidation:
 
 
 class TestCreateGovernor:
-    def test_builds_each_registered_kind(self):
-        from repro.control.governor import create_governor
-        # The coordinator registers itself when the package imports.
-        import repro.control  # noqa: F401
-
-        assert isinstance(
-            create_governor("static"), StaticGovernor
-        )
-        assert isinstance(
-            create_governor("occupancy_pi", LADDER),
-            OccupancyPIGovernor,
-        )
-        assert isinstance(
-            create_governor("slack", LADDER, guard=1.5), SlackGovernor
-        )
-
-    def test_forwards_keyword_arguments(self):
-        from repro.control.governor import create_governor
-
-        governor = create_governor("slack", LADDER, guard=2.0)
-        assert governor.guard == 2.0
-
-    def test_unknown_name_lists_valid_choices(self):
-        from repro.control.governor import create_governor
-        import repro.control  # noqa: F401
-
-        with pytest.raises(ConfigurationError) as excinfo:
-            create_governor("thermal")
-        message = str(excinfo.value)
-        for kind in ("coordinated", "occupancy_pi", "slack", "static"):
-            assert kind in message
+    """Policies are built by their constructors; a bad argument is a
+    configuration error there."""
 
     def test_bad_constructor_arguments_still_raise(self):
-        from repro.control.governor import create_governor
-
         with pytest.raises(ConfigurationError):
-            create_governor("slack", LADDER, guard=0.2)
+            SlackGovernor(LADDER, guard=0.2)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.ddc.pipeline import ddc_sdf_graph
 from repro.arch.builder import build_chip_plan
-from repro.sdf import ColumnAssignment, SdfMapper
+from repro.sdf.mapping import ColumnAssignment, SdfMapper
 
 
 @pytest.fixture(scope="module")

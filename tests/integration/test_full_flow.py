@@ -6,12 +6,9 @@ from repro.apps.ddc.pipeline import ddc_sdf_graph
 from repro.apps.mpeg4.encoder import mpeg4_sdf_graph
 from repro.apps.stereo.pipeline import stereo_sdf_graph
 from repro.apps.wlan.receiver import wlan_sdf_graph
-from repro.sdf import (
-    ColumnAssignment,
-    SdfMapper,
-    build_schedule,
-    check_deadlock_free,
-)
+from repro.sdf.analysis import check_deadlock_free
+from repro.sdf.mapping import ColumnAssignment, SdfMapper
+from repro.sdf.schedule import build_schedule
 
 
 class TestDdcFlow:

@@ -8,14 +8,13 @@ methodology.
 
 import pytest
 
-from repro.kernels import (
-    build_acs_kernel,
-    build_cic_chain_kernel,
-    build_dct_kernel,
-    build_fir_kernel,
-    build_mixer_kernel,
-    run_kernel,
-)
+from repro.kernels.base import run_kernel
+from repro.kernels.cic import build_cic_chain_kernel, build_cic_comb_kernel
+from repro.kernels.dct import build_dct_kernel
+from repro.kernels.fir import build_fir_kernel
+from repro.kernels.mixer import build_mixer_kernel
+from repro.kernels.streams import build_mixer_stream_kernel
+from repro.kernels.viterbi_acs import build_acs_kernel
 
 
 @pytest.mark.parametrize("builder", [
@@ -24,7 +23,9 @@ from repro.kernels import (
     build_cic_chain_kernel,
     build_acs_kernel,
     build_dct_kernel,
-], ids=["fir", "mixer", "cic", "acs", "dct"])
+    build_mixer_stream_kernel,
+    build_cic_comb_kernel,
+], ids=["fir", "mixer", "cic", "acs", "dct", "mixer_stream", "cic_comb"])
 def test_kernel_passes_its_oracle(builder):
     run = run_kernel(builder())
     assert run.issued > 0

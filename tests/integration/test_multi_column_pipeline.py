@@ -13,7 +13,8 @@ from repro.arch.builder import build_chip_plan
 from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.dou_compiler import Transfer, compile_schedule
 from repro.isa.assembler import assemble
-from repro.sdf import ColumnAssignment, SdfGraph, SdfMapper
+from repro.sdf.graph import SdfGraph
+from repro.sdf.mapping import ColumnAssignment, SdfMapper
 from repro.sim.simulator import Simulator
 
 SAMPLES = 12

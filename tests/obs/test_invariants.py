@@ -18,13 +18,8 @@ import time
 
 import pytest
 
-from repro.obs import (
-    BUS,
-    ChromeTraceBuilder,
-    CountingSink,
-    JsonlSink,
-    subscribed,
-)
+from repro.obs.events import BUS, subscribed
+from repro.obs.export import ChromeTraceBuilder, CountingSink, JsonlSink
 
 
 @pytest.fixture(autouse=True)

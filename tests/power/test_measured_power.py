@@ -3,11 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kernels import (
-    build_cic_chain_kernel,
-    build_mixer_stream_kernel,
-    run_kernel,
-)
+from repro.kernels.base import run_kernel
+from repro.kernels.cic import build_cic_chain_kernel
+from repro.kernels.streams import build_mixer_stream_kernel
 from repro.power.measured import (
     ActivityProfile,
     EnergyLedger,

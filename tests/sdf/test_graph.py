@@ -67,9 +67,11 @@ def test_connectivity():
     graph.add_actor("island")
     assert not graph.is_connected()
     assert not SdfGraph().is_connected()
-
-
-def test_networkx_export():
-    nx_graph = _chain().to_networkx()
-    assert set(nx_graph.nodes) == {"a", "b"}
-    assert nx_graph.number_of_edges() == 1
+    # Weakly but not strongly connected: b is reached from a only
+    # against the direction of the b -> c channel.
+    merge = SdfGraph("merge")
+    for name in "abc":
+        merge.add_actor(name)
+    merge.add_edge("a", "c", 1, 1)
+    merge.add_edge("b", "c", 1, 1)
+    assert merge.is_connected()

@@ -45,10 +45,12 @@ from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou import Dou
 from repro.arch.dou_compiler import Transfer, compile_schedule
-from repro.control import Governor, TransitionModel, run_governed
+from repro.control.epochs import run_governed
+from repro.control.governor import Governor
+from repro.control.transitions import TransitionModel
 from repro.isa.assembler import assemble
 from repro.sim import engine as engine_module
-from repro.obs import subscribed
+from repro.obs.events import subscribed
 from repro.sim.engine import (
     LOCKSTEP_ARM_RECURRENCES, CompiledEngine, ReferenceEngine,
 )

@@ -255,8 +255,7 @@ def test_run_many_with_policy_raises_batch_error_on_failure():
 
 
 def test_outcome_ok_property():
-    ok = JobOutcome(label="", key="k", status="ok")
-    degraded = JobOutcome(label="", key="k", status="degraded",
-                          degraded=True)
-    dead = JobOutcome(label="", key="k", status="timed_out")
+    ok = JobOutcome(label="", status="ok")
+    degraded = JobOutcome(label="", status="degraded", degraded=True)
+    dead = JobOutcome(label="", status="timed_out")
     assert ok.ok and degraded.ok and not dead.ok

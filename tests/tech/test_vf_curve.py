@@ -149,17 +149,31 @@ def test_two_anchor_curve_is_scipy_straight_line():
         assert curve.max_frequency_mhz(voltage) == float(reference(voltage))
 
 
+#: Module lists that must load neither scipy nor networkx: the governed
+#: corpus stack, and the warm kernel-replay stack (DDC stream and
+#: mixed-divider chips, FIR and ACS kernels, the governed WLAN burst).
+LEAN_IMPORTS = (
+    ("repro.workloads.generate", "repro.workloads.coordinated"),
+    ("repro.eval.engines", "repro.kernels.base", "repro.kernels.fir",
+     "repro.kernels.viterbi_acs", "repro.sim.simulator",
+     "repro.workloads.dvfs"),
+)
+
+
 def test_governed_path_imports_no_scipy():
-    """The V-f curve is pure Python: the governed stack loads no scipy."""
+    """The V-f curve is pure Python and package ``__init__`` files
+    import nothing, so neither stack loads scipy or networkx."""
     src = str(Path(repro.__file__).resolve().parent.parent)
-    code = (
-        "import sys, repro.workloads.generate, repro.workloads.coordinated;"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    for modules in LEAN_IMPORTS:
+        code = (
+            f"import sys, {', '.join(modules)};"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'networkx')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", modules

@@ -3,8 +3,11 @@ coordinated governance, and the one-stage bursty DVFS scenarios."""
 
 import pytest
 
-from repro.control import IndependentSlackGovernor, StaticGovernor
-from repro.control.coordinator import CoordinatedGovernor
+from repro.control.coordinator import (
+    CoordinatedGovernor,
+    IndependentSlackGovernor,
+)
+from repro.control.governor import StaticGovernor
 from repro.errors import ConfigurationError
 from repro.workloads.coordinated import (
     PIPELINE_GOVERNORS,
@@ -130,6 +133,7 @@ class TestGovernorFactory:
         with pytest.raises(ConfigurationError) as excinfo:
             pipeline_governor("thermal", scenario)
         message = str(excinfo.value)
+        assert message.startswith(f"{scenario.key}: ")
         for kind in ALL_GOVERNORS:
             assert kind in message
 

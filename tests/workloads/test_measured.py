@@ -2,38 +2,39 @@
 
 import pytest
 
-from repro.kernels import build_cic_chain_kernel, run_kernel
+from repro.kernels.base import run_kernel
+from repro.kernels.cic import build_cic_chain_kernel
 from repro.power.model import ComponentSpec, PowerModel
 from repro.workloads.measured import (
+    KERNEL_BUILDERS,
     comm_profile_from_run,
-    measured_kernel_table,
+    measured_activities,
 )
 
 
 @pytest.fixture(scope="module")
-def table():
-    return measured_kernel_table()
+def activities():
+    return measured_activities(KERNEL_BUILDERS)
 
 
-def test_table_covers_all_kernels(table):
-    assert set(table) == {
+def test_table_covers_all_kernels(activities):
+    assert set(activities) == {
         "fir-8tap", "complex-mixer", "mixer-stream",
         "cic-integrator-chain", "cic-comb-scatter",
         "viterbi-acs-butterfly", "dct-8point-q14",
     }
-    for entry in table.values():
-        assert entry["cycles_per_sample"] > 0
-        assert entry["issued"] > 0
+    for activity in activities.values():
+        assert activity.issued > 0
 
 
-def test_compute_only_kernels_have_no_traffic(table):
-    assert table["fir-8tap"]["bus_words_per_cycle"] == 0.0
-    assert table["dct-8point-q14"]["bus_words_per_cycle"] == 0.0
+def test_compute_only_kernels_have_no_traffic(activities):
+    assert activities["fir-8tap"].words_per_cycle == 0.0
+    assert activities["dct-8point-q14"].words_per_cycle == 0.0
 
 
-def test_communication_kernels_have_traffic(table):
-    assert table["cic-integrator-chain"]["bus_words_per_cycle"] > 1.0
-    assert table["viterbi-acs-butterfly"]["bus_words_per_cycle"] > 0.3
+def test_communication_kernels_have_traffic(activities):
+    assert activities["cic-integrator-chain"].words_per_cycle > 1.0
+    assert activities["viterbi-acs-butterfly"].words_per_cycle > 0.3
 
 
 def test_comm_profile_bridge_to_power_model():
