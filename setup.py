@@ -1,11 +1,17 @@
-"""Legacy setup shim.
+"""Package metadata for the ``repro`` package (``src/`` layout).
 
-The execution environment is offline and lacks the ``wheel`` package,
-so PEP 517 editable installs (which build a wheel) fail.  This shim
-lets ``pip install -e .`` fall back to ``setup.py develop``.
-All real metadata lives in pyproject.toml.
+Kept as a plain ``setup.py``: on an offline machine without the
+``wheel`` package, PEP 517 editable installs (which build a wheel)
+fail, and this file lets ``pip install -e .`` fall back to
+``setup.py develop``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

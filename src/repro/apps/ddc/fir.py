@@ -106,10 +106,3 @@ class FirDecimator:
         self._phase = (self._phase + len(block)) % self.decimation
         self.samples_out += len(kept)
         return kept
-
-    def frequency_response(self, points: int = 512) -> tuple:
-        """(normalized frequencies, complex response) for inspection."""
-        frequencies, response = sp_signal.freqz(
-            self.coefficients, worN=points
-        )
-        return frequencies / np.pi, response

@@ -188,10 +188,6 @@ class Column:
             tile.execute(instr)
         return ISSUED
 
-    def step_bus_clock(self) -> int:
-        """Advance the column's DOU by one bus cycle."""
-        return self.dou.step()
-
 
 class Chip:
     """A full Synchroscalar chip."""

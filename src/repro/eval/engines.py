@@ -16,8 +16,8 @@ The workload set brackets the engine's operating range:
 * ``wlan_acs`` - the Viterbi add-compare-select kernel with its
   neighbour-exchange DOU schedule (dense mode, strict schedules);
 * ``mixed_dividers`` - compute-only columns at 8/16/32 off one
-  reference (sparse mode: per-column edge walks and closed-form
-  ``ADDI`` loops);
+  reference (no DOU to step: every span between column edges is an
+  orbit batch event, and ``ADDI`` loops run in closed form);
 * ``ddc_pipeline`` - the Section 2 DDC front-end at paper-realistic
   column rates (24/40 MHz off 600 MHz): live compiled DOU schedules
   on both vertical buses and the horizontal bus (dense mode with
@@ -72,11 +72,12 @@ ENGINES = ("reference", "compiled")
 #: development machine, warm caches, interleaved best-of timing) so
 #: only a real regression trips them, never scheduler noise.  The
 #: ddc_pipeline and governed_burst floors moved 3.0 -> 6.0/8.0 with
-#: the lockstep round compiler, shared plan cache, and gated-prefix
-#: orbit batching.  governed_burst then fell 8.0 -> 6.0 when compiled
-#: DOU backpressure stalls sped up the *reference* engine (median
-#: time x0.75) while the compiled engine's time did not rise: a ratio
-#: floor moves only by the reference engine's measured gain.
+#: the lockstep round compiler, shared plan cache, and orbit
+#: batching through relock-gated stretches.  governed_burst then
+#: fell 8.0 -> 6.0 when compiled DOU backpressure stalls sped up the
+#: *reference* engine (median time x0.75) while the compiled engine's
+#: time did not rise: a ratio floor moves only by the reference
+#: engine's measured gain.
 #: governed_burst replays no lockstep round: its epoch windows are
 #: shorter than ``LOCKSTEP_HUNT_TICKS``, so its floor rests on the
 #: compute plane, clock-plan reuse and orbit batching.  The
@@ -236,7 +237,7 @@ WORKLOADS = {
         _run_wlan_acs,
     ),
     "mixed_dividers": (
-        "compute-only columns at dividers 8/16/32 (sparse mode)",
+        "compute-only columns at dividers 8/16/32, no DOU schedule",
         _run_mixed_dividers,
     ),
     "ddc_pipeline": (
@@ -529,10 +530,9 @@ def trace_workloads(
 #: :meth:`~repro.sim.engine.CompiledEngine.profile_snapshot` keys.  A
 #: renamed or dropped counter would otherwise read as zero.
 PROFILE_COUNTERS = (
-    "compile_s", "dense_s", "sparse_s", "settle_s", "drain_s",
-    "dense_ticks", "batch_events", "batched_ticks", "sparse_steps",
-    "parked_edges", "lockstep_batches", "orbit_laps",
-    "fused_runner_calls", "runner_calls", "runner_edges",
+    "compile_s", "dense_s", "settle_s", "drain_s", "dense_ticks",
+    "batch_events", "batched_ticks", "parked_edges", "lockstep_batches",
+    "orbit_laps", "fused_runner_calls", "runner_calls", "runner_edges",
     "vector_batches", "vector_iterations",
 )
 
@@ -554,7 +554,7 @@ ENGAGED_TIERS = {
 BASELINE_TOLERANCE = 0.2
 
 # Phase buckets that partition a profiled run's attributed wall time.
-_PHASE_BUCKETS = ("dense_s", "sparse_s", "settle_s", "drain_s")
+_PHASE_BUCKETS = ("dense_s", "settle_s", "drain_s")
 
 
 def check_bench(payload: dict) -> list:

@@ -50,11 +50,6 @@ def is_accumulator(name: str) -> bool:
     return name.upper() in ACCUMULATORS
 
 
-def is_pointer(name: str) -> bool:
-    """True for P0..P5."""
-    return name.upper() in POINTER_REGISTERS
-
-
 def wrap32(value: int) -> int:
     """Wrap to unsigned 32-bit."""
     return value & _DATA_MASK

@@ -99,11 +99,6 @@ class ApplicationPower:
         """Interconnect + leakage (dark bars of Figure 7)."""
         return sum(c.overhead_mw for c in self.components)
 
-    @property
-    def max_voltage(self) -> float:
-        """Highest rail used - the single-voltage baseline supply."""
-        return max(c.voltage_v for c in self.components)
-
     def component(self, name: str) -> ComponentPower:
         """Look up one component's breakdown by name."""
         for comp in self.components:

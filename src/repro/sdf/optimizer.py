@@ -54,11 +54,6 @@ class OptimizationResult:
         """Tiles consumed by the final allocation."""
         return sum(self.allocations.values())
 
-    @property
-    def stopped_by_budget(self) -> bool:
-        """Whether the budget (rather than convergence) ended the search."""
-        return self.tiles_used >= self.tile_budget
-
 
 class ParallelizationOptimizer:
     """Greedy tile allocator over :class:`ParallelComponent` models."""

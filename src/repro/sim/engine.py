@@ -14,12 +14,14 @@ exploits that in two interchangeable engines behind one interface:
     Precompiles the per-hyperperiod activity schedule from the
     :class:`~repro.arch.clocking.ClockTree` (which reference ticks
     carry column clock edges, which DOUs can ever move a word) and
-    advances in hyperperiod-sized strides: dead ticks are skipped
-    outright, inert DOUs are never stepped, halted columns accrue
-    their bubble cycles arithmetically, and the post-halt bus drain is
-    settled in O(columns) instead of O(ticks).  By construction it
-    produces :class:`~repro.sim.stats.SimulationStats` identical to
-    the reference engine - a property enforced by differential tests.
+    walks it in one stepping loop: inert DOUs are never stepped, spans
+    in which no buffer can change settle arithmetically, compute runs
+    execute ahead as edge credits (a PLL-relock gate is credits too),
+    halted columns accrue their bubble cycles arithmetically, and the
+    post-halt bus drain is settled in O(columns) instead of O(ticks).
+    By construction it produces
+    :class:`~repro.sim.stats.SimulationStats` identical to the
+    reference engine - a property enforced by differential tests.
 
 Both engines expose :meth:`Engine.advance` - run for a bounded window
 of reference ticks - which is the primitive the runtime-DVFS epoch
@@ -42,7 +44,7 @@ from time import perf_counter
 from typing import Callable
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.arch.chip import STALLED, Chip
+from repro.arch.chip import Chip
 from repro.arch.column_exec import compile_column_runner
 from repro.obs.events import BUS
 from repro.sim.stats import SimulationStats, collect
@@ -184,19 +186,18 @@ class ReferenceEngine(Engine):
 class _ClockPlan:
     """One divider tuple's compiled hyperperiod trace.
 
-    ``edges`` keeps column *indexes* per offset (needed wherever
-    PLL-relock gates must be consulted); ``edge_objs`` binds the same
-    table down to :class:`Column` objects for the no-gate hot loop.
+    ``edge_objs`` lists, per offset, the :class:`Column` objects with
+    a clock edge there (:meth:`~repro.arch.clocking.ClockTree.edge_schedule`
+    bound down to objects for the stepping loop).
     """
 
-    __slots__ = ("period", "edges", "edge_objs")
+    __slots__ = ("period", "edge_objs")
 
     def __init__(self, clock, columns) -> None:
         self.period = clock.hyperperiod()
-        self.edges = clock.edge_schedule()
         self.edge_objs = tuple(
             tuple(columns[index] for index in offsets)
-            for offsets in self.edges
+            for offsets in clock.edge_schedule()
         )
 
 
@@ -328,12 +329,14 @@ class _LockRecorder:
     (``recurrences`` keeps the count); records every dense-loop event
     - with the occupancy snapshots and per-DOU stat deltas the plan
     compiler needs - until the signature recurs, at which point
-    :func:`_build_lock_plan` builds the round.
+    :func:`_build_lock_plan` builds the round.  The dense loop stages
+    each event's fields in ``head`` and appends the item once the
+    tick's column edges have run.
     """
 
     __slots__ = (
         "sig", "start", "recurrences", "deques", "caps", "index_of",
-        "anchor_occ", "credits", "counters", "items",
+        "anchor_occ", "credits", "counters", "items", "head",
     )
 
     def __init__(
@@ -349,9 +352,49 @@ class _LockRecorder:
             (dou, list(dou.counters)) for dou in dous if dou.counters
         )
         self.items: list = []
+        self.head = None
 
     def occ(self) -> tuple:
         return tuple(map(len, self.deques))
+
+    def step_dous(self, dous) -> int:
+        """Step ``dous`` once, staging the tick's per-DOU snapshots.
+
+        :attr:`head` gets the occupancy once every machine has
+        stepped, then each machine's pre-state, stat deltas, counter
+        writes and the occupancy at its decision point.  Returns the
+        words moved.
+        """
+        occ_cur = self.occ()
+        per_dou = []
+        moved = 0
+        for dou in dous:
+            state_pre = dou.state_index
+            blocked_pre = dou.blocked_cycles
+            retired_pre = dou.words_retired
+            bus = dou.bus
+            bus_words_pre = bus.words_moved
+            bus_traffic_pre = bus.cycles_with_traffic
+            counters_pre = tuple(dou.counters)
+            words = dou.step()
+            moved += words
+            occ_next = self.occ()
+            per_dou.append((
+                state_pre, words, occ_next != occ_cur,
+                dou.blocked_cycles - blocked_pre,
+                bus.words_moved - bus_words_pre,
+                bus.cycles_with_traffic - bus_traffic_pre,
+                dou.words_retired - retired_pre,
+                dou.state_index,
+                tuple(
+                    (i, v) for i, v in enumerate(dou.counters)
+                    if v != counters_pre[i]
+                ),
+                occ_cur,
+            ))
+            occ_cur = occ_next
+        self.head = ("t", occ_cur, tuple(per_dou))
+        return moved
 
     def comm_state(self, columns, credits) -> tuple:
         """Pending-comm predicate inputs for each live credit-0 column.
@@ -1031,29 +1074,26 @@ class CompiledEngine(Engine):
     stepped.  The clock tree's edge schedule is compiled lazily, per
     divider tuple, into a plan cache (:class:`_ClockPlan`) - runtime
     retuning through :meth:`~repro.arch.chip.Chip.retune` just selects
-    another plan.  Two striding modes follow:
+    another plan.  One stepping loop (:meth:`_dense_until`) walks every
+    window: each tick steps the live DOUs (they run at the reference
+    rate by definition) through their compiled per-state plans and
+    executes the due column edges from the prebound object table, with
+    no per-tick modulo or gate checks.  Spans where every stepped DOU
+    sits in a no-progress orbit settle arithmetically; on a chip with
+    no DOU to step, every span between column edges does.  Column
+    runners execute compute runs ahead and credit the column the edges
+    they consumed; a PLL-relock gate (``chip.clock_gate_until``)
+    enters as credits for the column's gated edges, which burn the
+    same way, so a gated column skips exactly the edges the reference
+    stepping loop skips.
 
-    * no DOU needs stepping ("sparse"): columns cannot interact, so
-      each live column walks its own edges - credited edges burn in
-      O(1), compute runs batch through the column runner, and a
-      column blocked on a comm buffer is charged every remaining
-      stall edge in closed form;
-    * some DOU needs stepping ("dense"): every tick steps those DOUs
-      (they run at the reference rate by definition) through their
-      compiled per-state plans, column edges come from the prebound
-      object table with no per-tick modulo or gate checks in the
-      common case, and edge-free gaps where every stepped DOU sits in
-      a starved self-loop are settled arithmetically.
-
-    In both modes a column that has halted stops being stepped; the
-    bubbles and tile cycles the reference engine would have accrued on
-    its remaining clock edges are reconstructed arithmetically at the
-    end of each window, as are the cycle counts of every non-stepped
-    DOU and the post-halt bus drain.  PLL-relock gates
-    (``chip.clock_gate_until``) suppress a column's edges the same way
-    the reference stepping loop does.  ``until`` predicates and
-    observers need tick-accurate visibility, so their presence falls
-    back to the shared tick-by-tick loop.
+    A column that has halted stops being stepped; the bubbles and tile
+    cycles the reference engine would have accrued on its remaining
+    clock edges are reconstructed arithmetically at the end of each
+    window, as are the cycle counts of every non-stepped DOU and the
+    post-halt bus drain.  ``until`` predicates and observers need
+    tick-accurate visibility, so their presence falls back to the
+    shared tick-by-tick loop.
     """
 
     name = "compiled"
@@ -1097,7 +1137,7 @@ class CompiledEngine(Engine):
         #: object-id -> structural-path map for the shared plan cache.
         self._lock_fp = None
         self._lock_path_of = None
-        #: whether the last dense window hunted for lockstep rounds.
+        #: whether the last window hunted for lockstep rounds.
         self._hunt = False
         #: wall-clock attribution is collected only when
         #: ``profile_enabled`` is set; the event counters are always
@@ -1106,13 +1146,11 @@ class CompiledEngine(Engine):
         self._profile = {
             "compile_s": perf_counter() - compile_start,
             "dense_s": 0.0,
-            "sparse_s": 0.0,
             "settle_s": 0.0,
             "drain_s": 0.0,
             "dense_ticks": 0,
             "batch_events": 0,
             "batched_ticks": 0,
-            "sparse_steps": 0,
             "parked_edges": 0,
             "lockstep_batches": 0,
             "orbit_laps": 0,
@@ -1217,37 +1255,37 @@ class CompiledEngine(Engine):
             column.tile_cycles for column in chip.columns
         ]
         dou_cycles = [dou.cycles for dou in self._all_dous]
-        # Touch the plan cache even on sparse windows: one compiled
-        # plan per operating point the run visits is part of the
-        # engine's contract (and what the epoch layer's cache tests
-        # pin down).
-        self._plan()
+        # Every credit is zero here, because runner budgets end at the
+        # window limit.  A relock gate credits a live column with its
+        # gated edges in the window; they burn like edges a runner
+        # already executed, since the reference loop skips them and
+        # _settle_window owes nothing for them.
+        clock = chip.clock
+        for cindex, gate in enumerate(chip.clock_gate_until):
+            if gate > start and not chip.columns[cindex].halted:
+                self._credits[cindex] = clock.edges_in(
+                    cindex, start, min(gate, limit),
+                )
         profiling = self.profile_enabled
         mark = perf_counter() if profiling else 0.0
-        if self._stepped:
-            end = self._dense_until(start, limit)
-            phase = "dense_s"
-        else:
-            end = self._sparse_until(start, limit)
-            phase = "sparse_s"
+        end = self._dense_until(start, limit)
         if profiling:
             now = perf_counter()
-            self._profile[phase] += now - mark
+            self._profile["dense_s"] += now - mark
             mark = now
         self._settle_window(start, end, initial_cycles, dou_cycles)
         if profiling:
             self._profile["settle_s"] += perf_counter() - mark
         chip.reference_ticks = end
         if tracing:
-            self._window_close(window_pre, start, end, phase[:-2])
+            self._window_close(window_pre, start, end)
         return end
 
     #: Profile counters whose per-window deltas ride on the window
     #: span's args when a sink is subscribed.
     WINDOW_DELTA_KEYS = (
-        "dense_ticks", "sparse_steps", "batch_events",
-        "batched_ticks", "parked_edges", "lockstep_batches",
-        "orbit_laps", "fused_runner_calls",
+        "dense_ticks", "batch_events", "batched_ticks", "parked_edges",
+        "lockstep_batches", "orbit_laps", "fused_runner_calls",
     )
 
     def _window_open(self) -> tuple:
@@ -1258,11 +1296,9 @@ class CompiledEngine(Engine):
             [profile[key] for key in self.WINDOW_DELTA_KEYS],
         )
 
-    def _window_close(
-        self, pre: tuple, start: int, end: int, phase: str
-    ) -> None:
+    def _window_close(self, pre: tuple, start: int, end: int) -> None:
         """Emit the window's telemetry: one engine-track span with the
-        profile-counter deltas and whether a dense window hunted, plus
+        profile-counter deltas and whether the window hunted, plus
         per-clock-domain tracks (divider rung, relock-gated stretch,
         cumulative issue/stall counters, halt instants)."""
         chip = self.chip
@@ -1273,11 +1309,9 @@ class CompiledEngine(Engine):
             for key, base in zip(self.WINDOW_DELTA_KEYS, counters_pre)
             if profile[key] != base
         }
-        if phase == "dense":
-            deltas["hunt"] = self._hunt
+        deltas["hunt"] = self._hunt
         BUS.span(
-            f"window:{phase}", start, end, track="engine",
-            args=deltas,
+            "window:dense", start, end, track="engine", args=deltas,
         )
         dividers = chip.clock.dividers
         gates = chip.clock_gate_until
@@ -1302,106 +1336,45 @@ class CompiledEngine(Engine):
             if column.halted and not halted_pre[index]:
                 BUS.instant("halted", tick=end, track=track)
 
-    def _sparse_until(self, start: int, limit: int) -> int:
-        """No DOU to step: settle each live column independently.
-
-        With every DOU inert, no word can cross a domain boundary for
-        the rest of the window, so columns cannot interact and each
-        advances over its private edge schedule in one pass: edges
-        the column runner has pre-executed burn in O(1), compiled
-        compute runs batch through the runner, and a column that
-        blocks on a comm buffer is charged all remaining stall edges
-        in closed form (nothing can ever unblock it).
-        Returns the tick at which the reference loop would observe
-        all-halted, or ``limit``.
-        """
-        chip = self.chip
-        columns = chip.columns
-        gates = chip.clock_gate_until
-        clock = chip.clock
-        dividers = clock.dividers
-        credits = self._credits
-        runners = self._runners
-        profile = self._profile
-        live = 0
-        last_halt = -1
-        for cindex, column in enumerate(columns):
-            if column.halted:
-                continue
-            live += 1
-            divider = dividers[cindex]
-            base = max(start, gates[cindex])
-            tick = base + (-base) % divider
-            runner = runners[cindex]
-            while tick < limit:
-                remaining = (limit - tick + divider - 1) // divider
-                credit = credits[cindex]
-                if credit:
-                    if credit > remaining:
-                        credit = remaining
-                    credits[cindex] -= credit
-                    tick += credit * divider
-                    continue
-                if runner is not None:
-                    consumed = runner.run_edges(remaining)
-                    if consumed:
-                        tick += consumed * divider
-                        continue
-                outcome = column.step_tile_clock()
-                profile["sparse_steps"] += 1
-                if column.halted:
-                    live -= 1
-                    if tick > last_halt:
-                        last_halt = tick
-                    break
-                if outcome == STALLED:
-                    # A comm stall with no live DOU repeats forever:
-                    # charge every remaining edge of the window.
-                    owed = clock.edges_in(cindex, tick + 1, limit)
-                    if owed:
-                        column.tile_cycles += owed
-                        column.comm_stalls += owed
-                        profile["parked_edges"] += owed
-                    break
-                tick += divider
-        if live == 0:
-            return last_halt + 1 if last_halt >= 0 else start
-        return limit
-
     def _dense_until(self, start: int, limit: int) -> int:
-        """Some DOU moves data: walk the compiled hyperperiod trace.
+        """Walk the compiled hyperperiod trace: the one stepping loop.
 
-        A relock-gated prefix pays per-tick gate checks; the steady
-        state walks the prebound edge-object table with an
-        incrementing offset (no modulo, no gate test, no halted-edge
-        re-entry after the filtered check), batches no-progress gaps,
-        and pre-executes compute runs.  Two batching mechanisms remove
-        the per-tick loop in steady state:
+        Every tick steps the live DOUs (none at all on a chip whose
+        DOUs are inert) and then executes the column edges due at its
+        offset of the prebound edge-object table: a credited edge
+        burns in O(1), a runner pre-executes what it can, and
+        anything else takes one tile-clock step.  A relock gate
+        reaches this loop only as credits (:meth:`_stride_window`).
+        Two batching mechanisms remove the per-tick loop in steady
+        state:
 
         * **Orbit batching** - when every stepped DOU sits in a
           closed no-progress orbit (starved, fully backpressured, or
           idle; :meth:`~repro.arch.dou.Dou.stall_orbit`), no buffer
           can change until a progressing column edge executes, so the
-          whole span through the next such edge settles
-          arithmetically - including the edges of columns parked on a
-          blocked SEND or RECV, which are charged as comm stalls.
+          whole span through the bus cycle at the next such edge
+          settles arithmetically - including the edges of columns
+          parked on a blocked SEND or RECV, which are charged as comm
+          stalls - and the loop goes on to that tick's edges.  With
+          no stepped DOU, every span between executed edges is one
+          such event.
         * **Run crediting** - at a live column's edge, the column
           runner pre-executes as many upcoming compute edges as the
           program allows; the column is then credited those edges,
           which burn in O(1) as their ticks pass (or inside an orbit
           jump).
 
-        On top of both, the loop may hunt for a recurring **lockstep
-        round**: the same anchor signature (column pcs, pending/loop
-        structure, credits, DOU states, hyperperiod phase) seen at two
-        batch-event safepoints a whole number of hyperperiods apart.
-        Only a window of at least :data:`LOCKSTEP_HUNT_TICKS` hunts;
-        a shorter one takes no safepoint, since it never repays the
-        signatures and the round builds.  A hunting window's
-        phase-boundary safepoints fall only every
-        ceil(:data:`LOCKSTEP_PHASE_TICKS` / period) hyperperiods.
-        A signature without a plan here first probes the plans other
-        engines of the same chip structure built
+        On top of both, a window with a stepped DOU may hunt for a
+        recurring **lockstep round**: the same anchor signature
+        (column pcs, pending/loop structure, credits, DOU states,
+        hyperperiod phase) seen at two batch-event safepoints a whole
+        number of hyperperiods apart.  Only a window of at least
+        :data:`LOCKSTEP_HUNT_TICKS` hunts; a shorter one takes no
+        safepoint, since it never repays the signatures and the round
+        builds.  A hunting window's phase-boundary safepoints fall
+        only every ceil(:data:`LOCKSTEP_PHASE_TICKS` / period)
+        hyperperiods.  A signature without a plan here first probes
+        the plans other engines of the same chip structure built
         (:meth:`_lock_probe`), so a structure that has earned its
         rounds replays from the first sighting.  Otherwise detection
         is gated and two-phase, so short regimes build nothing and the
@@ -1409,25 +1382,24 @@ class CompiledEngine(Engine):
         signature's count in this engine; the recurrence that brings
         it to :data:`LOCKSTEP_ARM_RECURRENCES` *arms* a
         :class:`_LockRecorder` that captures exactly one round richly
-        (occupancy snapshots, per-DOU stat deltas, comm predicate
-        inputs); the next recurrence builds the capture into a
+        (its DOU steps instrumented, plus every event's column acts);
+        the next recurrence builds the capture into a
         :class:`_RoundPlan` whose replays (:meth:`_lock_replay`)
         settle whole producer/consumer exchange rounds per iteration
         - entry-validated by credit/counter equality and per-buffer
         occupancy windows, with only the genuinely irregular
         primitives executed and self-validated live.  Any divergence
         aborts back here with the machine state real and consistent.
+        Returns the tick at which the reference loop would observe
+        all-halted, or ``limit``.
         """
         chip = self.chip
         columns = chip.columns
-        gates = chip.clock_gate_until
         clock = chip.clock
         dividers = clock.dividers
         plan = self._plan()
         period = plan.period
-        edges = plan.edges
         edge_objs = plan.edge_objs
-        max_gate = max(gates)
         dous = [self._all_dous[index] for index in self._stepped]
         credits = self._credits
         runners = self._runners
@@ -1436,66 +1408,13 @@ class CompiledEngine(Engine):
         lock_counts = self._lock_counts
         sigs: dict = {}  # lockstep signature -> last tick seen
         armed = None     # _LockRecorder while capturing one round
-        hunting = self._hunt = limit - start >= LOCKSTEP_HUNT_TICKS
+        hunting = self._hunt = (
+            bool(dous) and limit - start >= LOCKSTEP_HUNT_TICKS
+        )
         # Phase safepoints fall on ticks that are multiples of stride.
         stride = -(-LOCKSTEP_PHASE_TICKS // period) * period
         live = sum(not column.halted for column in columns)
         tick = start
-        if tick < max_gate:
-            # Relock-gated prefix: tick-accurate gate checks, with
-            # the same orbit batching as the steady state.  Once
-            # every stepped DOU parks in a no-progress orbit, no
-            # buffer can change before the next *executable* column
-            # edge - and a relock gate pushes each column's next
-            # executable edge out to its gate expiry - so the whole
-            # gated stretch settles arithmetically instead of
-            # paying per-tick gate checks.
-            gate_end = min(limit, max_gate)
-            gate_moved = 0
-            while live and tick < gate_end:
-                if gate_moved == 0:
-                    gate_batch = []
-                    for dou in dous:
-                        effects = dou.stall_orbit()
-                        if effects is None:
-                            gate_batch = None
-                            break
-                        gate_batch.append(effects)
-                else:
-                    gate_batch = None
-                if gate_batch is not None:
-                    jump = gate_end
-                    for cindex, column in enumerate(columns):
-                        if column.halted:
-                            continue
-                        divider = dividers[cindex]
-                        base = tick
-                        if gates[cindex] > base:
-                            base = gates[cindex]
-                        due = base + (-base) % divider
-                        if due < jump:
-                            jump = due
-                    if jump > tick:
-                        span = jump - tick
-                        for position, dou in enumerate(dous):
-                            dou.fast_stall_orbit(
-                                gate_batch[position], span,
-                            )
-                        profile["batch_events"] += 1
-                        profile["batched_ticks"] += span
-                        tick = jump
-                        continue
-                gate_moved = 0
-                for dou in dous:
-                    gate_moved += dou.step()
-                for index in edges[tick % period]:
-                    column = columns[index]
-                    if column.halted or tick < gates[index]:
-                        continue
-                    column.step_tile_clock()
-                    if column.halted:
-                        live -= 1
-                tick += 1
         offset = tick % period
         stepped_ticks = 0
         moved = 0
@@ -1581,15 +1500,16 @@ class CompiledEngine(Engine):
                                 self._lock_buffers(), dous, credits,
                             )
                     sigs[sig] = tick
+            parked = 0  # bitmask of the comm-parked columns charged
             if batch is not None:
-                if armed is not None:
+                recording = armed is not None
+                if recording:
                     g_occ = armed.occ()
                     g_states = tuple(
                         dou.state_index for dou in dous
                     )
                     g_comm = armed.comm_state(columns, credits)
                 jump = limit
-                parked = 0  # bitmask of comm-parked columns
                 for cindex, column in enumerate(columns):
                     if column.halted:
                         continue
@@ -1607,18 +1527,17 @@ class CompiledEngine(Engine):
                 # The freeze proof holds through the DOU steps AT
                 # ``jump`` as well: no buffer changed in
                 # [tick, jump), so the bus cycle at ``jump`` is one
-                # more orbit stall, and the due edges then execute
-                # inside this event (reference order: buses first,
-                # then due columns).  Only when the jump hits the
-                # window limit does the event stop short of an edge.
-                # Parked columns owe one comm-stall edge per skipped
-                # edge, credited columns burn their pre-executed
-                # edges, and no other column has an edge before the
-                # jump.
-                run_edge = jump < limit
-                end = jump + 1 if run_edge else jump
+                # more orbit stall, and the event settles it too
+                # before the edges at ``jump`` run below (reference
+                # order: buses first, then due columns).  Only when
+                # the jump hits the window limit does the event stop
+                # short of an edge.  Parked columns owe one
+                # comm-stall edge per skipped edge, their edge at
+                # ``jump`` included, credited columns burn their
+                # pre-executed edges, and no other column has an
+                # edge before the jump.
+                end = jump + 1 if jump < limit else jump
                 span = end - tick
-                recording = armed is not None
                 for position, dou in enumerate(dous):
                     dou.fast_stall_orbit(batch[position], span)
                 charges_rec = [] if recording else None
@@ -1640,135 +1559,27 @@ class CompiledEngine(Engine):
                             profile["parked_edges"] += owed
                             if recording:
                                 charges_rec.append((cindex, owed))
-                acts = None
-                if run_edge:
-                    acts = [] if recording else None
-                    for column in edge_objs[jump % period]:
-                        if column.halted:
-                            continue
-                        cindex = column.index
-                        if parked >> cindex & 1:
-                            continue  # stall already settled
-                        credit = credits[cindex]
-                        if credit:
-                            credits[cindex] = credit - 1
-                            if recording:
-                                acts.append((0, cindex))
-                            continue
-                        runner = runners[cindex]
-                        if runner is not None:
-                            divider = dividers[cindex]
-                            pre_pc = column.controller.pc
-                            consumed = runner.run_edges(
-                                (limit - jump + divider - 1)
-                                // divider
-                            )
-                            if consumed:
-                                credits[cindex] = consumed - 1
-                                if recording:
-                                    ctrl = column.controller
-                                    acts.append((
-                                        1, cindex, pre_pc,
-                                        consumed, ctrl.pc,
-                                        runner.comm_head(pre_pc),
-                                        len(ctrl._loop_stack),
-                                    ))
-                                continue
-                        column.step_tile_clock()
-                        if recording:
-                            ctrl = column.controller
-                            acts.append((
-                                3, cindex, ctrl.pc,
-                                column.halted,
-                                ctrl._pending is not None,
-                                len(ctrl._loop_stack),
-                            ))
-                        if column.halted:
-                            live -= 1
-                if recording:
-                    armed.items.append((
-                        "g", span, g_occ, g_states, batch,
-                        g_comm, parked, tuple(charges_rec),
-                        tuple(burns_rec),
-                        tuple(acts) if acts is not None
-                        else None,
-                    ))
-                    if len(armed.items) > LOCKSTEP_REC_CAP:
-                        armed = None
                 profile["batch_events"] += 1
                 profile["batched_ticks"] += span
-                tick = end
-                offset = tick % period
                 moved = 0
-                continue
-            if armed is None:
+                tick = jump
+                if jump == limit:
+                    break
+                if recording:
+                    armed.head = (
+                        "g", span, g_occ, g_states, batch, g_comm,
+                        parked, tuple(charges_rec), tuple(burns_rec),
+                    )
+                offset = tick % period
+            elif armed is None:
                 moved = 0
                 for dou in dous:
                     moved += dou.step()
-                for column in edge_objs[offset]:
-                    if column.halted:
-                        continue
-                    cindex = column.index
-                    credit = credits[cindex]
-                    if credit:
-                        credits[cindex] = credit - 1
-                        continue
-                    runner = runners[cindex]
-                    if runner is not None:
-                        # tick is this column's edge
-                        # (tick % d == 0), so the edges left in
-                        # the window are a pure ceiling division.
-                        divider = dividers[cindex]
-                        consumed = runner.run_edges(
-                            (limit - tick + divider - 1)
-                            // divider
-                        )
-                        if consumed:
-                            credits[cindex] = consumed - 1
-                            continue
-                    column.step_tile_clock()
-                    if column.halted:
-                        live -= 1
                 stepped_ticks += 1
-                tick += 1
-                offset += 1
-                if offset == period:
-                    offset = 0
-                continue
-            # Armed: the same tick, instrumented with the
-            # occupancy snapshots and per-DOU stat deltas the
-            # round compiler needs.  One round per signature pays
-            # this; the steady state never does.
-            occ_cur = armed.occ()
-            per_dou = []
-            moved = 0
-            for dou in dous:
-                state_pre = dou.state_index
-                blocked_pre = dou.blocked_cycles
-                retired_pre = dou.words_retired
-                bus = dou.bus
-                bus_words_pre = bus.words_moved
-                bus_traffic_pre = bus.cycles_with_traffic
-                counters_pre = tuple(dou.counters)
-                words = dou.step()
-                moved += words
-                occ_next = armed.occ()
-                per_dou.append((
-                    state_pre, words, occ_next != occ_cur,
-                    dou.blocked_cycles - blocked_pre,
-                    bus.words_moved - bus_words_pre,
-                    bus.cycles_with_traffic - bus_traffic_pre,
-                    dou.words_retired - retired_pre,
-                    dou.state_index,
-                    tuple(
-                        (i, v)
-                        for i, v in enumerate(dou.counters)
-                        if v != counters_pre[i]
-                    ),
-                    occ_cur,
-                ))
-                occ_cur = occ_next
-            acts = []
+            else:
+                moved = armed.step_dous(dous)
+                stepped_ticks += 1
+            acts = None if armed is None else []
             for column in edge_objs[offset]:
                 if column.halted:
                     continue
@@ -1776,10 +1587,16 @@ class CompiledEngine(Engine):
                 credit = credits[cindex]
                 if credit:
                     credits[cindex] = credit - 1
-                    acts.append((0, cindex))
+                    if acts is not None:
+                        acts.append((0, cindex))
                     continue
+                if parked >> cindex & 1:
+                    continue  # the batch event charged this edge
                 runner = runners[cindex]
                 if runner is not None:
+                    # tick is this column's edge (tick % d == 0), so
+                    # the edges left in the window are a pure ceiling
+                    # division.
                     divider = dividers[cindex]
                     pre_pc = column.controller.pc
                     consumed = runner.run_edges(
@@ -1787,28 +1604,28 @@ class CompiledEngine(Engine):
                     )
                     if consumed:
                         credits[cindex] = consumed - 1
-                        ctrl = column.controller
-                        acts.append((
-                            1, cindex, pre_pc, consumed,
-                            ctrl.pc, runner.comm_head(pre_pc),
-                            len(ctrl._loop_stack),
-                        ))
+                        if acts is not None:
+                            ctrl = column.controller
+                            acts.append((
+                                1, cindex, pre_pc, consumed, ctrl.pc,
+                                runner.comm_head(pre_pc),
+                                len(ctrl._loop_stack),
+                            ))
                         continue
                 column.step_tile_clock()
-                ctrl = column.controller
-                acts.append((
-                    3, cindex, ctrl.pc, column.halted,
-                    ctrl._pending is not None,
-                    len(ctrl._loop_stack),
-                ))
+                if acts is not None:
+                    ctrl = column.controller
+                    acts.append((
+                        3, cindex, ctrl.pc, column.halted,
+                        ctrl._pending is not None,
+                        len(ctrl._loop_stack),
+                    ))
                 if column.halted:
                     live -= 1
-            armed.items.append((
-                "t", occ_cur, tuple(per_dou), tuple(acts),
-            ))
-            if len(armed.items) > LOCKSTEP_REC_CAP:
-                armed = None
-            stepped_ticks += 1
+            if acts is not None:
+                armed.items.append(armed.head + (tuple(acts),))
+                if len(armed.items) > LOCKSTEP_REC_CAP:
+                    armed = None
             tick += 1
             offset += 1
             if offset == period:

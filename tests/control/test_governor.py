@@ -153,9 +153,10 @@ class TestSlackGovernor:
         governor = SlackGovernor(LADDER)
         assert governor.decide(telemetry((4,))) == (4,)
 
-    def test_rejects_sub_unity_guard(self):
+    @pytest.mark.parametrize("guard", [0.5, 0.2])
+    def test_rejects_sub_unity_guard(self, guard):
         with pytest.raises(ConfigurationError, match="guard"):
-            SlackGovernor(LADDER, guard=0.5)
+            SlackGovernor(LADDER, guard=guard)
 
 
 class TestLadderValidation:
@@ -183,12 +184,3 @@ class TestLadderValidation:
 
     def test_normalizes_order(self):
         assert SlackGovernor((8, 1, 4, 2)).ladder == (1, 2, 4, 8)
-
-
-class TestCreateGovernor:
-    """Policies are built by their constructors; a bad argument is a
-    configuration error there."""
-
-    def test_bad_constructor_arguments_still_raise(self):
-        with pytest.raises(ConfigurationError):
-            SlackGovernor(LADDER, guard=0.2)

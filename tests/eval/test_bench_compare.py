@@ -12,9 +12,11 @@ from repro.eval.engines import (
     ENGAGED_TIERS,
     PROFILE_COUNTERS,
     WORKLOADS,
+    build_mixed_divider_chip,
     check_bench,
     compare_baseline,
 )
+from repro.sim.engine import CompiledEngine
 from repro.sim.resilience import check_outcomes, outcomes_snapshot
 
 _TOOL = Path(__file__).parents[2] / "tools" / "check_artifact.py"
@@ -141,6 +143,18 @@ def test_committed_baseline_is_valid(capsys):
     assert check_bench(baseline) == []
     assert check_outcomes(baseline) == []
     assert compare_baseline(baseline, baseline) == []
+
+
+def test_committed_baseline_carries_exactly_the_current_keys():
+    """No stale or missing key: a counter the engine dropped must leave
+    the baseline with it, or the dense-share rule reads a dead phase."""
+    baseline = json.loads(Path(check_artifact.DEFAULT_BASELINE).read_text())
+    snapshot = CompiledEngine(build_mixed_divider_chip()).profile_snapshot()
+    assert set(snapshot) == set(PROFILE_COUNTERS)
+    for key, entry in baseline["workloads"].items():
+        counters = set(entry["profile"]) - {"engines"}
+        assert counters == set(PROFILE_COUNTERS), key
+    assert set(baseline["outcomes"]) == set(outcomes_snapshot())
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -30,7 +30,7 @@ def _engine():
     workloads = {}
     for key in WORKLOADS:
         profile = dict.fromkeys(PROFILE_COUNTERS, 0)
-        profile.update(dense_s=0.5, sparse_s=0.5)
+        profile.update(dense_s=0.5, settle_s=0.5)
         profile.update(dict.fromkeys(ENGAGED_TIERS.get(key, ()), 1))
         workloads[key] = {"speedup": 3.0, "profile": profile}
     return {"artifact": "BENCH_engine", "smoke": True,
@@ -136,7 +136,7 @@ def _case(rule, make, mutate, expect, args=(), baseline=None):
 
 def _regressed_dense_share(payload):
     profile = payload["workloads"]["fir"]["profile"]
-    profile.update(dense_s=0.7, sparse_s=0.3)  # 50% -> 70%
+    profile.update(dense_s=0.7, settle_s=0.3)  # 50% -> 70%
 
 
 _FAULTS = [name for name in outcomes_snapshot() if name != "ok"]

@@ -4,8 +4,7 @@ The compiled engine's contract is bit-identical ``SimulationStats``
 to the tick-accurate reference engine on any chip; these tests
 enforce it on the configurations the acceptance criteria name: the
 DDC front-end pipeline, a WLAN kernel, and multi-column mixed-divider
-chips, covering both striding modes (all-inert "sparse" and live-DOU
-"dense").
+chips, with and without a DOU to step.
 """
 
 import pytest
@@ -14,6 +13,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou_compiler import Transfer, compile_schedule
+from repro.eval.engines import WORKLOADS
 from repro.isa.assembler import assemble
 from repro.kernels.base import run_kernel
 from repro.kernels.viterbi_acs import build_acs_kernel
@@ -123,6 +123,23 @@ def test_differential_multi_column_mixed_dividers():
     # Staggered halts really exercised the owed-edge reconstruction.
     assert compiled.column(0).bubbles > 0
     assert compiled.column(2).bubbles > 0
+
+
+@pytest.mark.parametrize("workload", ["fir", "mixed_dividers"])
+def test_zero_dou_chip_takes_no_lockstep_safepoint(monkeypatch, workload):
+    """With no DOU to step, even a long ``run()`` window is orbit
+    batch events alone: it never computes a lockstep signature."""
+    _, run = WORKLOADS[workload]
+    signatures = []
+    signature = CompiledEngine._lock_signature
+
+    def counted(engine, tick, period):
+        signatures.append(tick)
+        return signature(engine, tick, period)
+
+    monkeypatch.setattr(CompiledEngine, "_lock_signature", counted)
+    assert run("compiled") == run("reference")
+    assert signatures == []
 
 
 @pytest.mark.parametrize("divider", [1, 3, 4])

@@ -12,7 +12,8 @@ original single-state/RECV-only fast path:
 * SEND-parked columns under sustained backpressure, both the
   bounded-window deadlock shape and a run-to-completion pipeline;
 * a runtime retune landing while a column is comm-parked (the
-  governed epoch layer's hazard case).
+  governed epoch layer's hazard case), and relock gates that end
+  inside, at the end of, or windows after the epoch that set them.
 
 Every case is differential - the compiled engine must stay
 bit-identical to the reference engine - and the batching paths are
@@ -258,6 +259,36 @@ def test_retune_mid_parked_window_differential():
     assert consumed_cmp == consumed_ref
     assert ref_chip.all_halted and cmp_chip.all_halted
     assert collect(cmp_chip) == collect(ref_chip)
+
+
+@pytest.mark.parametrize("window", [48, 1000])
+@pytest.mark.parametrize("gated", [(0,), (1,), (0, 1)],
+                         ids=["column0", "column1", "both"])
+@pytest.mark.parametrize("gate", [1, 30, 48, 97, 1000, 5000])
+def test_relock_gate_credits_differential(gate, gated, window):
+    """Relock gates enter the compiled engine as edge credits.
+
+    The same retune as above, then windowed epochs: gates that end
+    inside the first window, exactly at its end, or several windows
+    later must skip exactly the edges the reference loop skips, and
+    each window must burn every credit it granted.
+    """
+    ref_chip = build_backpressure_pipeline()
+    cmp_chip = build_backpressure_pipeline()
+    ref_engine = ReferenceEngine(ref_chip)
+    cmp_engine = CompiledEngine(cmp_chip)
+    for engine in (ref_engine, cmp_engine):
+        chip = engine.chip
+        engine.advance(20 * chip.clock.hyperperiod())
+        chip.retune((3, 24))
+        for index in gated:
+            chip.clock_gate_until[index] = chip.reference_ticks + gate
+    while not ref_chip.all_halted:
+        consumed = ref_engine.advance(window)
+        assert cmp_engine.advance(window) == consumed
+        assert collect(cmp_chip) == collect(ref_chip)
+        assert cmp_engine._credits == [0, 0]
+    assert cmp_chip.all_halted
 
 
 def test_governed_scenario_differential():

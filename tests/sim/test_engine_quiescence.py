@@ -140,7 +140,7 @@ def test_plan_cache_invalidates_per_divider_tuple():
     assert set(engine._plans) >= {(6,), (3,)}
     for key, plan in engine._plans.items():
         assert plan.period == key[0]
-        assert len(plan.edges) == plan.period
+        assert len(plan.edge_objs) == plan.period
     # Revisiting an operating point reuses the cached object.
     chip = engine.chip
     assert engine._plan() is engine._plans[chip.clock.dividers]
