@@ -116,55 +116,3 @@ class ViterbiDecoder:
                 raise ValueError("stream shorter than the code tail")
             bits = bits[:-tail]
         return bits
-
-    def decode_windowed(
-        self,
-        soft_bits: np.ndarray,
-        traceback_depth: int = 64,
-    ) -> np.ndarray:
-        """Streaming decode with a finite traceback window.
-
-        Real hardware - including the paper's dedicated Viterbi
-        Traceback component (1 tile @ 330 MHz) - cannot buffer a whole
-        packet's survivors; it traces back a fixed ``traceback_depth``
-        from the currently best state and commits the oldest bit.
-        Depths of ~5x the constraint length are effectively lossless;
-        shorter windows trade accuracy for survivor memory.
-        """
-        if traceback_depth < 1:
-            raise ValueError("traceback depth must be positive")
-        soft_bits = np.asarray(soft_bits, dtype=np.float64)
-        if len(soft_bits) % 2:
-            raise ValueError("soft input length must be even")
-        pairs = soft_bits.reshape(-1, 2)
-        steps = len(pairs)
-
-        # Run the ACS once (survivors are reused window by window);
-        # running metrics at every step are recomputed incrementally.
-        survivors, _ = self.acs(pairs)
-        prev_state = self._prev_state
-
-        metrics = np.full(self.n_states, 1.0e18)
-        metrics[0] = 0.0
-        best_state_at = np.zeros(steps, dtype=np.intp)
-        bit_of_target = self._target_bit
-        pred0, pred1 = self._pred0, self._pred1
-        for step in range(steps):
-            observed = pairs[step]
-            branch = (
-                np.abs(self._outputs[:, :, 0] - observed[0])
-                + np.abs(self._outputs[:, :, 1] - observed[1])
-            )
-            candidate0 = metrics[pred0] + branch[pred0, bit_of_target]
-            candidate1 = metrics[pred1] + branch[pred1, bit_of_target]
-            metrics = np.minimum(candidate0, candidate1)
-            best_state_at[step] = int(np.argmin(metrics))
-
-        bits = np.zeros(steps, dtype=np.uint8)
-        for commit in range(steps):
-            window_end = min(commit + traceback_depth, steps - 1)
-            state = best_state_at[window_end]
-            for step in range(window_end, commit, -1):
-                state = prev_state[step, state]
-            bits[commit] = survivors[commit, state]
-        return bits

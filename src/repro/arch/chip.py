@@ -108,48 +108,17 @@ class Column:
             self._active_tiles_cache[mask] = tiles
         return tiles
 
-    def blocked_on_recv(self) -> bool:
-        """Whether the next tile-clock edges are certain RECV stalls.
-
-        True when the already-fetched pending instruction is a RECV
-        and some enabled tile's read buffer is empty: the column
-        cannot issue until a DOU capture lands, and every edge until
-        then costs exactly one ``comm_stalls`` tile cycle.  A compiled
-        engine that can prove no capture will land for a span may
-        therefore account those stall edges arithmetically.
-        """
-        pending = self.controller._pending
-        if pending is None or pending.opcode is not Opcode.RECV:
-            return False
-        for tile in self.active_tiles():
-            if tile.read_buffer.is_empty:
-                return True
-        return False
-
-    def blocked_on_send(self) -> bool:
-        """Whether the next tile-clock edges are certain SEND stalls.
-
-        The backpressure mirror of :meth:`blocked_on_recv`: the
-        pending instruction is a SEND and some enabled tile's write
-        buffer is full, so the column cannot issue until a DOU drain
-        pops a word - every edge until then costs exactly one
-        ``comm_stalls`` tile cycle.
-        """
-        pending = self.controller._pending
-        if pending is None or pending.opcode is not Opcode.SEND:
-            return False
-        for tile in self.active_tiles():
-            if tile.write_buffer.is_full:
-                return True
-        return False
-
     def parked_on_comm(self) -> bool:
         """Whether the column is certainly stalled on its pending comm.
 
-        ``blocked_on_recv() or blocked_on_send()`` with the pending
-        instruction inspected once - the form the compiled engine's
-        batching loop calls per live column per jump.  A parked column
-        stays parked exactly as long as no DOU capture or drain
+        True when the already-fetched pending instruction is a RECV
+        and some enabled tile's read buffer is empty (the column
+        cannot issue until a DOU capture lands), or a SEND and some
+        enabled tile's write buffer is full (it cannot issue until a
+        DOU drain pops a word).  Every edge until then costs exactly
+        one ``comm_stalls`` tile cycle.  The compiled engine's
+        batching loop calls this per live column per jump: a parked
+        column stays parked exactly as long as no DOU capture or drain
         touches its buffers, so its stall edges can be settled
         arithmetically over any span the DOUs provably sit still.
         """
@@ -277,18 +246,13 @@ class Chip:
             )
         self.clock = self.clock.with_dividers(dividers)
 
-    def step_reference_tick(self, observers: tuple = ()) -> None:
+    def step_reference_tick(self) -> None:
         """One reference-clock tick: buses first, then due columns.
 
         The DOUs run at the bus (maximum) frequency every tick; a
         column's tiles advance only on their divided clock edges, so
         words crossing domains sit in the voltage-adapting buffers in
         between - exactly the paper's decoupled communication model.
-
-        ``observers`` are notified of every tile-clock issue outcome
-        via ``observer.record(tick, column, outcome, pc)`` - the hook
-        behind tracing, so traced and untraced runs share this single
-        stepping loop.
         """
         tick = self.reference_ticks
         columns = self.columns
@@ -301,13 +265,7 @@ class Chip:
         gates = self.clock_gate_until
         for index, column in enumerate(columns):
             if tick % dividers[index] == 0 and tick >= gates[index]:
-                if observers:
-                    pc = column.controller.pc
-                    outcome = column.step_tile_clock()
-                    for observer in observers:
-                        observer.record(tick, index, outcome, pc)
-                else:
-                    column.step_tile_clock()
+                column.step_tile_clock()
         self.reference_ticks = tick + 1
 
     # ------------------------------------------------------------------

@@ -136,7 +136,7 @@ def run_governed(
     chip,
     governor: Governor,
     transition_model: TransitionModel | None = None,
-    engine: str | Engine = "auto",
+    engine: str | Engine = "compiled",
     epoch_ticks: int | None = None,
     epoch_hyperperiods: int = 4,
     max_ticks: int = DEFAULT_MAX_TICKS,

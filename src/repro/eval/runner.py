@@ -57,9 +57,9 @@ ticks, batched jumps, settlement, drain) in the JSON payload, and
 the timeline-bearing workloads (after the timing loops, so sinks
 never touch the recorded wall clocks).
 
-Every batch runs supervised (:mod:`repro.sim.resilience`: retry with
-deterministic backoff, per-job timeouts, worker crash containment,
-compiled-to-reference engine fallback - see ``docs/robustness.md``).
+Every batch runs supervised (:mod:`repro.sim.resilience`: retries,
+per-job timeouts, worker crash containment, compiled-to-reference
+engine fallback - see ``docs/robustness.md``).
 ``--job-timeout`` / ``--retries`` / ``--keep-going`` install the
 process-default :class:`~repro.sim.resilience.FaultPolicy`; they
 apply to every mode but ``--engines``, which runs no jobs.
@@ -312,9 +312,8 @@ def main(argv: list | None = None) -> None:
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="retry each timed-out or crashed job up to N times "
-             "with deterministic exponential backoff (default 2; "
-             "applies to every mode but --engines); a job that "
-             "raises settles failed after one attempt",
+             "(default 2; applies to every mode but --engines); a "
+             "job that raises settles failed after one attempt",
     )
     parser.add_argument(
         "--keep-going", action="store_true",

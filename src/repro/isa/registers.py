@@ -21,28 +21,11 @@ COMM_REGISTER = "R7"
 
 ALL_REGISTERS = DATA_REGISTERS + POINTER_REGISTERS + ACCUMULATORS
 
-_INDEX = {name: i for i, name in enumerate(ALL_REGISTERS)}
-
 DATA_WIDTH = 32
 ACCUMULATOR_WIDTH = 40
 
 _DATA_MASK = (1 << DATA_WIDTH) - 1
 _ACC_MASK = (1 << ACCUMULATOR_WIDTH) - 1
-
-
-def register_index(name: str) -> int:
-    """Dense index of a register name (used by the binary encoding)."""
-    try:
-        return _INDEX[name.upper()]
-    except KeyError:
-        raise SimulationError(f"unknown register {name!r}") from None
-
-
-def register_name(index: int) -> str:
-    """Inverse of :func:`register_index`."""
-    if not 0 <= index < len(ALL_REGISTERS):
-        raise SimulationError(f"register index {index} out of range")
-    return ALL_REGISTERS[index]
 
 
 def is_accumulator(name: str) -> bool:

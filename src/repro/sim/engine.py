@@ -7,8 +7,7 @@ exploits that in two interchangeable engines behind one interface:
 
 ``ReferenceEngine``
     The tick-accurate stepper: one Python iteration per reference
-    tick, with tracing folded in as an observer hook so traced and
-    untraced runs share a single stepping loop.
+    tick through :meth:`~repro.arch.chip.Chip.step_reference_tick`.
 
 ``CompiledEngine``
     Precompiles the per-hyperperiod activity schedule from the
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 from itertools import count
 from time import perf_counter
-from typing import Callable
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.arch.chip import Chip
@@ -63,66 +61,13 @@ def _budget_error(max_ticks: int) -> SimulationError:
     )
 
 
-def _run_ticked(
-    chip: Chip,
-    observers: tuple,
-    max_ticks: int,
-    until: Callable[[Chip], bool] | None,
-    drain_hyperperiods: int,
-) -> SimulationStats:
-    """The canonical tick-by-tick run loop (shared fallback path)."""
-    for _ in range(max_ticks):
-        if until is not None and until(chip):
-            return collect(chip)
-        if chip.all_halted:
-            break
-        chip.step_reference_tick(observers)
-    else:
-        raise _budget_error(max_ticks)
-    for _ in range(drain_hyperperiods * chip.clock.hyperperiod()):
-        chip.step_reference_tick(observers)
-    return collect(chip)
-
-
-def _advance_ticked(chip: Chip, observers: tuple, ticks: int) -> int:
-    """Advance up to ``ticks`` reference ticks, stopping at all-halt.
-
-    Mirrors the main loop of :func:`_run_ticked` exactly (all_halted
-    is observed *before* each step), so windowed and open-ended runs
-    agree tick for tick.  Returns the ticks actually consumed.
-    """
-    consumed = 0
-    while consumed < ticks:
-        if chip.all_halted:
-            break
-        chip.step_reference_tick(observers)
-        consumed += 1
-    return consumed
-
-
 class Engine:
-    """Common interface: advance a chip and collect its statistics.
-
-    ``observers`` receive ``record(tick, column, outcome, pc)`` for
-    every tile-clock step - :class:`~repro.sim.trace.Tracer` plugs in
-    directly.
-    """
+    """Common interface: advance a chip and collect its statistics."""
 
     name = "engine"
 
-    def __init__(self, chip: Chip, observers: tuple = ()) -> None:
+    def __init__(self, chip: Chip) -> None:
         self.chip = chip
-        self.observers = tuple(observers)
-
-    def step(self) -> None:
-        """Advance exactly one reference tick, observers notified.
-
-        Always the tick-accurate path (every DOU stepped, every due
-        column edge executed), regardless of the engine's fast paths -
-        single-stepping is a debugging primitive and must see true
-        per-tick state.
-        """
-        self.chip.step_reference_tick(self.observers)
 
     def advance(self, ticks: int) -> int:
         """Advance up to ``ticks`` reference ticks; stop at all-halt.
@@ -132,17 +77,25 @@ class Engine:
         gate relocking columns; within a call the clock is constant.
         Returns the number of ticks actually consumed, which is less
         than ``ticks`` only when every column halted inside the
-        window.
+        window.  ``all_halted`` is observed *before* each step, as in
+        :meth:`ReferenceEngine.run`, so windowed and open-ended runs
+        agree tick for tick.
         """
-        return _advance_ticked(self.chip, self.observers, ticks)
+        chip = self.chip
+        consumed = 0
+        while consumed < ticks:
+            if chip.all_halted:
+                break
+            chip.step_reference_tick()
+            consumed += 1
+        return consumed
 
     def run(
         self,
         max_ticks: int = DEFAULT_MAX_TICKS,
-        until: Callable[[Chip], bool] | None = None,
         drain_hyperperiods: int = 2,
     ) -> SimulationStats:
-        """Run until every column halts (or ``until`` fires).
+        """Run until every column halts.
 
         After all columns halt, the buses are drained for
         ``drain_hyperperiods`` clock hyperperiods so in-flight words
@@ -164,9 +117,7 @@ class ReferenceEngine(Engine):
     stepping loop (:meth:`~repro.arch.chip.Chip.step_reference_tick`),
     so its statistics define correctness: every other engine must be
     bit-identical to this one, and the differential tests treat it as
-    the oracle.  It is the right engine whenever per-tick visibility
-    matters (tracing observers, ``until`` predicates, debugging) and
-    the slow one everywhere else.
+    the oracle.
     """
 
     name = "reference"
@@ -174,13 +125,18 @@ class ReferenceEngine(Engine):
     def run(
         self,
         max_ticks: int = DEFAULT_MAX_TICKS,
-        until: Callable[[Chip], bool] | None = None,
         drain_hyperperiods: int = 2,
     ) -> SimulationStats:
-        return _run_ticked(
-            self.chip, self.observers, max_ticks, until,
-            drain_hyperperiods,
-        )
+        chip = self.chip
+        for _ in range(max_ticks):
+            if chip.all_halted:
+                break
+            chip.step_reference_tick()
+        else:
+            raise _budget_error(max_ticks)
+        for _ in range(drain_hyperperiods * chip.clock.hyperperiod()):
+            chip.step_reference_tick()
+        return collect(chip)
 
 
 class _ClockPlan:
@@ -1035,6 +991,11 @@ def _round_factory(source):
     return namespace["_make"], compiled
 
 
+# ``perfbench/layers.py`` wraps _ROUND_CODE_CACHE, _SHARED_LOCK_PLANS
+# and this module's global ``compile`` lookup by name: renaming or
+# deleting any of them breaks CI's traced perfbench smokes until a
+# benchmark change updates layers.py.
+#
 # Compiled round code objects, keyed by their generated source.  The
 # emitter's bind names are assigned in deterministic discovery order,
 # so re-simulating the same chip structure (fresh engine, fresh
@@ -1091,15 +1052,13 @@ class CompiledEngine(Engine):
     cycles the reference engine would have accrued on its remaining
     clock edges are reconstructed arithmetically at the end of each
     window, as are the cycle counts of every non-stepped DOU and the
-    post-halt bus drain.  ``until`` predicates and observers need
-    tick-accurate visibility, so their presence falls back to the
-    shared tick-by-tick loop.
+    post-halt bus drain.
     """
 
     name = "compiled"
 
-    def __init__(self, chip: Chip, observers: tuple = ()) -> None:
-        super().__init__(chip, observers)
+    def __init__(self, chip: Chip) -> None:
+        super().__init__(chip)
         compile_start = perf_counter()
         #: divider tuple -> compiled _ClockPlan
         self._plans: dict = {}
@@ -1207,8 +1166,6 @@ class CompiledEngine(Engine):
         return plan
 
     def advance(self, ticks: int) -> int:
-        if self.observers:
-            return _advance_ticked(self.chip, self.observers, ticks)
         if ticks <= 0 or self.chip.all_halted:
             return 0
         start = self.chip.reference_ticks
@@ -1217,14 +1174,8 @@ class CompiledEngine(Engine):
     def run(
         self,
         max_ticks: int = DEFAULT_MAX_TICKS,
-        until: Callable[[Chip], bool] | None = None,
         drain_hyperperiods: int = 2,
     ) -> SimulationStats:
-        if until is not None or self.observers:
-            return _run_ticked(
-                self.chip, self.observers, max_ticks, until,
-                drain_hyperperiods,
-            )
         start = self.chip.reference_ticks
         end = self._stride_window(start + max_ticks)
         # The reference loop spends one budget iteration *observing*
@@ -1945,9 +1896,6 @@ ENGINES = {
     CompiledEngine.name: CompiledEngine,
 }
 
-#: Name that resolves to the fastest engine safe for the run shape.
-AUTO_ENGINE = "auto"
-
 #: Profiling hook for callers that never see the engine object.  The
 #: kernel and scenario runners build their simulators internally, so
 #: a benchmark driver that wants ``profile_snapshot()`` after a run
@@ -1967,15 +1915,8 @@ AUTO_ENGINE = "auto"
 PROFILE_REGISTRY: list | None = None
 
 
-def create_engine(
-    name: str, chip: Chip, observers: tuple = ()
-) -> Engine:
+def create_engine(name: str, chip: Chip) -> Engine:
     """Instantiate an engine by registry name.
-
-    ``"auto"`` picks the compiled fast path when no observers are
-    attached (tick-accurate visibility is not needed, and an ``until``
-    predicate at run time still falls back to the shared tick loop);
-    with observers it picks the reference engine outright.
 
     Raises
     ------
@@ -1984,15 +1925,13 @@ def create_engine(
         a simulation failure, so it is distinguishable from runtime
         errors like deadlocked schedules.
     """
-    if name == AUTO_ENGINE:
-        name = ReferenceEngine.name if observers else CompiledEngine.name
     try:
         factory = ENGINES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown engine {name!r}; available: {sorted(ENGINES)}"
         ) from None
-    engine = factory(chip, observers)
+    engine = factory(chip)
     if PROFILE_REGISTRY is not None and isinstance(engine, CompiledEngine):
         engine.profile_enabled = True
         PROFILE_REGISTRY.append(engine)

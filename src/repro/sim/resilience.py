@@ -8,10 +8,9 @@ through :func:`repro.sim.batch.run_many`.  A :class:`Job` is
 settles each one into a typed :class:`JobOutcome` instead of a raised
 exception:
 
-* **Retry with backoff** - a :class:`FaultPolicy` caps retries and
-  spaces attempts by exponential backoff with *deterministic* jitter
-  derived from the job key, so two supervisors replaying the same
-  sweep make identical scheduling decisions.
+* **Retry** - a :class:`FaultPolicy` caps retries; a retried attempt
+  is requeued at once (every job is a deterministic local
+  computation, so spacing attempts out buys nothing).
 * **Per-job wall-clock timeouts** - in process mode an over-budget
   worker is terminated and the job rescheduled; in serial mode the
   timeout is enforced post-hoc (the result is discarded and the job
@@ -55,7 +54,6 @@ __all__ = [
     "FaultPolicy",
     "Job",
     "JobOutcome",
-    "backoff_delay",
     "check_outcomes",
     "default_policy",
     "outcomes_snapshot",
@@ -82,11 +80,6 @@ class FaultPolicy:
         attempt: the same input fails the same way again.
     ``timeout_s``
         Per-job wall-clock budget; ``None`` disables timeouts.
-    ``backoff_base_s`` / ``backoff_factor`` / ``backoff_max_s``
-        Exponential retry spacing: attempt *n*'s delay is
-        ``base * factor**(n-1)`` capped at ``backoff_max_s``, then
-        jittered deterministically from the job key
-        (:func:`backoff_delay`).
     ``keep_going``
         ``False`` (fail-fast) aborts the batch on the first terminal
         failure; ``True`` (collect-partial) supervises every job to
@@ -95,9 +88,6 @@ class FaultPolicy:
 
     max_retries: int = 2
     timeout_s: float | None = None
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 5.0
     keep_going: bool = False
 
     def __post_init__(self) -> None:
@@ -108,13 +98,6 @@ class FaultPolicy:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(
                 f"timeout_s must be positive, got {self.timeout_s}"
-            )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got "
-                f"{self.backoff_factor}"
             )
 
 
@@ -148,15 +131,14 @@ class Job:
     """One unit of supervised work: ``fn(item)``.
 
     ``label`` names the job in events and errors.  ``key`` is the
-    SHA-256 of the label (backoff jitter and fault injection are pure
-    functions of it); it never hashes the item, so an in-process job
-    need not pickle.  ``fallback``, when not ``None``, is the input
+    SHA-256 of the label (fault injection is a pure function of it);
+    it never hashes the item, so an in-process job need not pickle.
+    ``fallback``, when not ``None``, is the input
     ``fn`` runs on within the same attempt if ``fn(item)`` raises; a
     result computed from it settles ``degraded``.
     """
 
-    __slots__ = ("fn", "item", "label", "key", "fallback", "attempts",
-                 "ready_at")
+    __slots__ = ("fn", "item", "label", "key", "fallback", "attempts")
 
     def __init__(self, fn: Callable, item, label: str,
                  fallback=None) -> None:
@@ -166,26 +148,6 @@ class Job:
         self.key = hashlib.sha256(label.encode()).hexdigest()
         self.fallback = fallback
         self.attempts = 0
-        self.ready_at = 0.0
-
-
-def backoff_delay(
-    policy: FaultPolicy, key: str, attempt: int
-) -> float:
-    """Delay before retry number ``attempt`` (1-based) of ``key``.
-
-    Exponential in the attempt number, capped, and jittered into
-    ``[0.5, 1.5) x`` the nominal delay by a hash of the job key -
-    deterministic (two supervisors schedule identically) yet spread
-    (a retry storm over many keys does not thunder in lockstep).
-    """
-    nominal = policy.backoff_base_s * (
-        policy.backoff_factor ** max(0, attempt - 1)
-    )
-    nominal = min(nominal, policy.backoff_max_s)
-    digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-    fraction = int.from_bytes(digest[:8], "big") / 2 ** 64
-    return nominal * (0.5 + fraction)
 
 
 # ----------------------------------------------------------------------
@@ -412,10 +374,8 @@ class _Supervisor:
             job, reason=payload,
         )
         if status != "failed" and job.attempts <= self.policy.max_retries:
-            delay = backoff_delay(self.policy, job.key, job.attempts)
             _COUNTERS["retries"] += 1
-            self._event("job_retry", job, backoff_s=round(delay, 6))
-            job.ready_at = time.monotonic() + delay
+            self._event("job_retry", job)
             self.queue.append(index)
             return
         outcome = JobOutcome(
@@ -443,9 +403,6 @@ class _Supervisor:
         while self.queue:
             index = self.queue.pop(0)
             job = self.jobs[index]
-            wait = job.ready_at - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
             start = time.monotonic()
             try:
                 message = _attempt(
@@ -474,8 +431,7 @@ class _Supervisor:
         Each attempt gets a fresh worker (crash containment is the
         point: a dying worker loses one attempt, never the batch).
         The loop keeps ``processes`` workers busy, waits on their
-        pipes, kills over-deadline workers, and reschedules retries
-        once their backoff expires.
+        pipes, kills over-deadline workers, and requeues retries.
         """
         ctx = get_context()
         slots: dict = {}  # recv conn -> (process, index, deadline)
@@ -522,15 +478,8 @@ class _Supervisor:
                 conn.close()
 
     def _launch_ready(self, ctx, slots, processes, now) -> None:
-        while len(slots) < processes:
-            position = next(
-                (i for i, index in enumerate(self.queue)
-                 if self.jobs[index].ready_at <= now),
-                None,
-            )
-            if position is None:
-                return
-            index = self.queue.pop(position)
+        while self.queue and len(slots) < processes:
+            index = self.queue.pop(0)
             job = self.jobs[index]
             recv, send = ctx.Pipe(duplex=False)
             process = ctx.Process(
@@ -548,16 +497,9 @@ class _Supervisor:
     def _poll_timeout(self, slots, now) -> float:
         """How long the next wait may block without missing an edge."""
         horizon = 0.5
-        deadlines = [
-            deadline - now for _, _, deadline in slots.values()
-            if deadline is not None
-        ]
-        backoffs = [
-            self.jobs[index].ready_at - now for index in self.queue
-            if self.jobs[index].ready_at > now
-        ]
-        for edge in deadlines + backoffs:
-            horizon = min(horizon, max(edge, 0.0))
+        for _, _, deadline in slots.values():
+            if deadline is not None:
+                horizon = min(horizon, max(deadline - now, 0.0))
         return horizon
 
 

@@ -1,26 +1,21 @@
 """The multi-clock-domain simulation driver.
 
 :class:`Simulator` is a thin facade over the pluggable engine layer
-(:mod:`repro.sim.engine`): it picks an engine, wires the optional
-tracer in as a step observer, and exposes the historical run/step
-API.  The default ``engine="auto"`` selects the hyperperiod-compiled
-fast path whenever no tracer is attached (the differential tests
-guarantee bit-identical statistics); pass ``engine="reference"`` to
-force tick-by-tick stepping.
+(:mod:`repro.sim.engine`): it builds the named engine (or takes an
+engine instance) and runs the chip to completion.  The default
+``engine="compiled"`` is the hyperperiod-compiled fast path (the
+differential tests guarantee bit-identical statistics); pass
+``engine="reference"`` to force tick-by-tick stepping.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.arch.chip import Chip
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou import DouProgram
-from repro.errors import ConfigurationError
 from repro.isa.program import Program
 from repro.sim.engine import DEFAULT_MAX_TICKS, Engine, create_engine
 from repro.sim.stats import SimulationStats
-from repro.sim.trace import Tracer
 
 __all__ = ["DEFAULT_MAX_TICKS", "Simulator", "run_single_column"]
 
@@ -31,33 +26,20 @@ class Simulator:
     def __init__(
         self,
         chip: Chip,
-        tracer: Tracer | None = None,
-        engine: str | Engine = "auto",
+        engine: str | Engine = "compiled",
     ) -> None:
         self.chip = chip
-        self.tracer = tracer
         if isinstance(engine, Engine):
-            if tracer is not None:
-                raise ConfigurationError(
-                    "pass the tracer as an engine observer when "
-                    "supplying an engine instance"
-                )
             self.engine = engine
         else:
-            observers = (tracer,) if tracer is not None else ()
-            self.engine = create_engine(engine, chip, observers)
-
-    def step(self) -> None:
-        """Advance one reference tick (with optional tracing)."""
-        self.engine.step()
+            self.engine = create_engine(engine, chip)
 
     def run(
         self,
         max_ticks: int = DEFAULT_MAX_TICKS,
-        until: Callable[[Chip], bool] | None = None,
         drain_hyperperiods: int = 2,
     ) -> SimulationStats:
-        """Run until every column halts (or ``until`` fires).
+        """Run until every column halts.
 
         After all columns halt, the buses are drained for a couple of
         clock hyperperiods so in-flight words settle into their
@@ -71,7 +53,6 @@ class Simulator:
         """
         return self.engine.run(
             max_ticks=max_ticks,
-            until=until,
             drain_hyperperiods=drain_hyperperiods,
         )
 
@@ -86,8 +67,7 @@ def run_single_column(
     read_primes: dict | None = None,
     strict_schedules: bool = True,
     max_ticks: int = DEFAULT_MAX_TICKS,
-    tracer: Tracer | None = None,
-    engine: str = "auto",
+    engine: str = "compiled",
 ) -> tuple[Chip, SimulationStats]:
     """Build, load, and run a one-column chip; returns (chip, stats).
 
@@ -114,7 +94,5 @@ def run_single_column(
         for tile_index, words in read_primes.items():
             for word in words:
                 chip.columns[0].tiles[tile_index].read_buffer.push(word)
-    stats = Simulator(chip, tracer=tracer, engine=engine).run(
-        max_ticks=max_ticks
-    )
+    stats = Simulator(chip, engine=engine).run(max_ticks=max_ticks)
     return chip, stats

@@ -1201,7 +1201,7 @@ class PipelineResult:
 def run_pipeline(
     scenario: PipelineScenario,
     governor: Governor | str,
-    engine: str = "auto",
+    engine: str = "compiled",
     transition_model: TransitionModel | None = None,
     model: PowerModel | None = None,
     max_ticks: int | None = None,

@@ -1,8 +1,7 @@
-"""Extension features: windowed traceback, entropy estimates, Jacobi."""
+"""Extension features: MPEG-4 entropy estimates."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.apps.mpeg4.encoder import Mpeg4Encoder, QCIF_SHAPE
 from repro.apps.mpeg4.frames import synthetic_sequence
@@ -15,54 +14,6 @@ from repro.apps.mpeg4.entropy import (
     zigzag_order,
     zigzag_scan,
 )
-from repro.apps.stereo.jacobi import amplify_jacobi, jacobi_svd
-from repro.apps.stereo.svd import amplify
-from repro.apps.wlan.convcode import ConvolutionalEncoder
-from repro.apps.wlan.viterbi import ViterbiDecoder
-
-
-class TestWindowedTraceback:
-    def test_deep_window_matches_full_traceback(self, rng):
-        encoder, decoder = ConvolutionalEncoder(), ViterbiDecoder()
-        bits = rng.integers(0, 2, 150).astype(np.uint8)
-        coded = encoder.encode(bits).astype(float)
-        full = decoder.decode(coded)
-        windowed = decoder.decode_windowed(coded, traceback_depth=40)
-        assert np.array_equal(windowed[:len(full)], full)
-
-    def test_shallow_window_degrades_under_noise(self, rng):
-        encoder, decoder = ConvolutionalEncoder(), ViterbiDecoder()
-        bits = rng.integers(0, 2, 400).astype(np.uint8)
-        coded = encoder.encode(bits).astype(float)
-        noisy = np.clip(
-            coded + 0.42 * rng.standard_normal(len(coded)), 0, 1
-        )
-        deep = decoder.decode_windowed(noisy, traceback_depth=48)
-        shallow = decoder.decode_windowed(noisy, traceback_depth=3)
-        deep_errors = int(np.sum(deep[:400] != bits))
-        shallow_errors = int(np.sum(shallow[:400] != bits))
-        assert shallow_errors >= deep_errors
-
-    def test_validation(self):
-        decoder = ViterbiDecoder()
-        with pytest.raises(ValueError):
-            decoder.decode_windowed(np.zeros(4), traceback_depth=0)
-        with pytest.raises(ValueError):
-            decoder.decode_windowed(np.zeros(5))
-
-    @given(
-        seed=st.integers(0, 2 ** 16),
-        depth=st.integers(35, 80),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_5k_depth_is_lossless_on_clean_data(self, seed, depth):
-        rng = np.random.default_rng(seed)
-        encoder, decoder = ConvolutionalEncoder(), ViterbiDecoder()
-        bits = rng.integers(0, 2, 80).astype(np.uint8)
-        coded = encoder.encode(bits).astype(float)
-        windowed = decoder.decode_windowed(coded,
-                                           traceback_depth=depth)
-        assert np.array_equal(windowed[:80], bits)
 
 
 class TestEntropy:
@@ -134,42 +85,3 @@ class TestEntropy:
         )
         assert coarse.estimated_bits < fine.estimated_bits
 
-
-class TestJacobiSvd:
-    def test_reconstruction(self, rng):
-        a = rng.standard_normal((8, 5))
-        u, s, vt = jacobi_svd(a)
-        assert np.allclose(u @ np.diag(s) @ vt, a, atol=1e-9)
-
-    def test_orthonormal_factors(self, rng):
-        a = rng.standard_normal((6, 6))
-        u, s, vt = jacobi_svd(a)
-        assert np.allclose(u.T @ u, np.eye(6), atol=1e-9)
-        assert np.allclose(vt @ vt.T, np.eye(6), atol=1e-9)
-
-    def test_singular_values_match_numpy(self, rng):
-        a = rng.standard_normal((7, 4))
-        _, ours, _ = jacobi_svd(a)
-        reference = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(ours, reference, atol=1e-9)
-
-    def test_wide_matrix_rejected(self, rng):
-        with pytest.raises(ValueError):
-            jacobi_svd(rng.standard_normal((3, 5)))
-        with pytest.raises(ValueError):
-            jacobi_svd(rng.standard_normal(4))
-
-    def test_amplify_agrees_with_numpy_route(self, rng):
-        """P = UV^T is the unique orthogonal polar factor, so the
-        Jacobi and LAPACK routes must coincide."""
-        g = rng.uniform(0.0, 1.0, (6, 6)) + 0.1 * np.eye(6)
-        assert np.allclose(amplify_jacobi(g), amplify(g), atol=1e-8)
-
-    def test_amplify_wide_input(self, rng):
-        g = rng.uniform(0.1, 1.0, (3, 5))
-        p = amplify_jacobi(g)
-        assert p.shape == (3, 5)
-        assert np.allclose(p @ p.T, np.eye(3), atol=1e-8)
-
-    def test_empty_input(self):
-        assert amplify_jacobi(np.zeros((0, 0))).size == 0

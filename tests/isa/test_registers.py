@@ -9,8 +9,6 @@ from repro.isa.registers import (
     DATA_REGISTERS,
     POINTER_REGISTERS,
     RegisterFile,
-    register_index,
-    register_name,
     signed32,
     signed40,
     wrap32,
@@ -25,20 +23,12 @@ def test_register_sets():
     assert COMM_REGISTER == "R7"
 
 
-def test_index_roundtrip():
-    for name in DATA_REGISTERS + POINTER_REGISTERS + ACCUMULATORS:
-        assert register_name(register_index(name)) == name
-
-
-def test_index_case_insensitive():
-    assert register_index("r3") == register_index("R3")
-
-
 def test_unknown_register_raises():
+    regs = RegisterFile()
     with pytest.raises(SimulationError):
-        register_index("R9")
+        regs.read("R9")
     with pytest.raises(SimulationError):
-        register_name(99)
+        regs.write("R9", 0)
 
 
 def test_wrap32():

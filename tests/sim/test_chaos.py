@@ -100,9 +100,8 @@ def baseline():
 
 
 # The per-class injections below run at rate=1.0 on the first
-# attempt: every job exercises the fault path, retries run clean, so
-# the sweep must converge regardless of seed - while the seed still
-# varies backoff jitter through the hash.
+# attempt: every job exercises the fault path and retries run clean,
+# so the sweep must converge regardless of seed.
 
 def test_worker_kills_serial(baseline):
     injector = FaultInjector(
@@ -112,7 +111,7 @@ def test_worker_kills_serial(baseline):
     with subscribed(recorder):
         outcomes = run_many(
             _sweep(), processes=1,
-            policy=FaultPolicy(max_retries=2, backoff_base_s=0.0),
+            policy=FaultPolicy(max_retries=2),
             injector=injector,
         )
     assert all(o.ok for o in outcomes)
@@ -130,7 +129,7 @@ def test_worker_kills_real_processes(baseline):
     )
     outcomes = run_many(
         _sweep(), processes=2,
-        policy=FaultPolicy(max_retries=2, backoff_base_s=0.0),
+        policy=FaultPolicy(max_retries=2),
         injector=injector,
     )
     assert all(o.ok for o in outcomes)
@@ -147,8 +146,7 @@ def test_job_timeouts_serial(baseline):
     with subscribed(recorder):
         outcomes = run_many(
             _sweep(), processes=1,
-            policy=FaultPolicy(max_retries=2, timeout_s=0.02,
-                               backoff_base_s=0.0),
+            policy=FaultPolicy(max_retries=2, timeout_s=0.02),
             injector=injector,
         )
     assert all(o.ok for o in outcomes)
@@ -164,8 +162,7 @@ def test_job_timeouts_real_processes(baseline):
     )
     outcomes = run_many(
         _sweep(), processes=2,
-        policy=FaultPolicy(max_retries=2, timeout_s=0.2,
-                           backoff_base_s=0.0),
+        policy=FaultPolicy(max_retries=2, timeout_s=0.2),
         injector=injector,
     )
     assert all(o.ok for o in outcomes)
@@ -181,7 +178,7 @@ def test_engine_faults_degrade_bit_identical(baseline):
     with subscribed(recorder):
         outcomes = run_many(
             _sweep(), processes=1,
-            policy=FaultPolicy(max_retries=2, backoff_base_s=0.0),
+            policy=FaultPolicy(max_retries=2),
             injector=injector,
         )
     assert all(o.ok for o in outcomes)
@@ -207,8 +204,7 @@ def test_fault_storm_converges_bit_identical(baseline):
     ])
     outcomes = run_many(
         _sweep(), processes=1,
-        policy=FaultPolicy(max_retries=3, timeout_s=0.02,
-                           backoff_base_s=0.0),
+        policy=FaultPolicy(max_retries=3, timeout_s=0.02),
         injector=injector,
     )
     assert all(o.ok for o in outcomes)
@@ -229,7 +225,7 @@ def test_supervised_run_many_is_a_drop_in_under_faults(baseline):
     )
     outcomes = require_ok(run_many(
         _sweep(), processes=1,
-        policy=FaultPolicy(max_retries=2, backoff_base_s=0.0),
+        policy=FaultPolicy(max_retries=2),
         injector=injector,
     ))
     assert [o.stats for o in outcomes] == baseline
@@ -264,7 +260,7 @@ def test_fuzz_sweep_survives_worker_kills(fuzz_rows, processes):
         SEED, [FaultSpec("kill_worker", rate=1.0, attempts=(1,))]
     )
     outcomes = _fuzz_sweep(
-        processes, FaultPolicy(max_retries=2, backoff_base_s=0.0),
+        processes, FaultPolicy(max_retries=2),
         injector,
     )
     assert [o.stats for o in outcomes] == fuzz_rows
@@ -278,8 +274,7 @@ def test_hung_fuzz_case_times_out_under_its_label():
                          delay_s=5.0)]
     )
     outcomes = _fuzz_sweep(
-        2, FaultPolicy(max_retries=1, timeout_s=0.2, backoff_base_s=0.0,
-                       keep_going=True),
+        2, FaultPolicy(max_retries=1, timeout_s=0.2, keep_going=True),
         injector,
     )
     assert [o.status for o in outcomes] == ["timed_out"] * FUZZ_COUNT
@@ -323,8 +318,7 @@ def test_hung_governed_pairs_time_out_under_their_labels():
                          delay_s=5.0)]
     )
     outcomes = _governed_pairs(
-        2, FaultPolicy(max_retries=1, timeout_s=0.2, backoff_base_s=0.0,
-                       keep_going=True),
+        2, FaultPolicy(max_retries=1, timeout_s=0.2, keep_going=True),
         injector,
     )
     assert [o.status for o in outcomes] == ["timed_out"] * 3
@@ -355,7 +349,7 @@ def test_raising_governed_pair_runs_once(monkeypatch):
 
     monkeypatch.setattr(governed, "run_pipeline", broken)
     outcomes = _governed_pairs(
-        1, FaultPolicy(max_retries=2, backoff_base_s=0.0, keep_going=True),
+        1, FaultPolicy(max_retries=2, keep_going=True),
         None,
     )
     assert [o.status for o in outcomes] == ["failed"] * 3

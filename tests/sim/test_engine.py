@@ -1,4 +1,4 @@
-"""Engine layer: reference/compiled differential and observer hook.
+"""Engine layer: the reference/compiled differential.
 
 The compiled engine's contract is bit-identical ``SimulationStats``
 to the tick-accurate reference engine on any chip; these tests
@@ -23,7 +23,6 @@ from repro.sim.engine import (
     create_engine,
 )
 from repro.sim.simulator import Simulator, run_single_column
-from repro.sim.trace import Tracer
 
 SAMPLES = 12
 
@@ -168,51 +167,8 @@ def test_compiled_architectural_state_matches():
 
 
 # ----------------------------------------------------------------------
-# observer hook (the old hand-copied tracing loop is gone)
-# ----------------------------------------------------------------------
-def test_traced_and_untraced_runs_produce_identical_stats():
-    untraced = Simulator(build_ddc_front_end()).run(max_ticks=100_000)
-    tracer = Tracer()
-    traced = Simulator(build_ddc_front_end(),
-                       tracer=tracer).run(max_ticks=100_000)
-    assert traced == untraced
-    assert tracer.events  # the observer really saw the run
-
-
-def test_tracer_as_engine_observer():
-    tracer = Tracer()
-    chip = build_mixed_divider_chip()
-    engine = ReferenceEngine(chip, observers=(tracer,))
-    stats = engine.run()
-    issued = sum(1 for e in tracer.events if e.outcome == "issued")
-    assert issued == sum(c.issued for c in stats.columns)
-
-
-def test_compiled_with_observers_stays_tick_accurate():
-    """Observers force the compiled engine onto the exact path."""
-    tracer_ref, tracer_cmp = Tracer(), Tracer()
-    ReferenceEngine(build_mixed_divider_chip(),
-                    observers=(tracer_ref,)).run()
-    CompiledEngine(build_mixed_divider_chip(),
-                   observers=(tracer_cmp,)).run()
-    assert tracer_cmp.events == tracer_ref.events
-
-
-# ----------------------------------------------------------------------
 # run() contract parity
 # ----------------------------------------------------------------------
-def test_compiled_until_predicate_matches_reference():
-    def until(chip):
-        return chip.reference_ticks >= 37
-
-    reference = Simulator(build_mixed_divider_chip(),
-                          engine="reference").run(until=until)
-    compiled = Simulator(build_mixed_divider_chip(),
-                         engine="compiled").run(until=until)
-    assert compiled == reference
-    assert compiled.reference_ticks == 37
-
-
 @pytest.mark.parametrize("engine", ["reference", "compiled"])
 def test_deadlock_detection_per_engine(engine):
     program = assemble("recv r0\nhalt")  # nobody ever sends
@@ -260,12 +216,12 @@ def test_budget_boundary_matches_reference(build_chip):
 
 
 def test_manual_stepping_then_run():
-    """step() a few ticks by hand, then run() to completion."""
+    """Step a few reference ticks by hand, then run() compiled."""
     reference = Simulator(build_mixed_divider_chip(),
                           engine="reference").run()
     sim = Simulator(build_mixed_divider_chip(), engine="compiled")
     for _ in range(5):
-        sim.step()
+        sim.chip.step_reference_tick()
     assert sim.chip.reference_ticks == 5
     assert sim.run() == reference
 
@@ -303,16 +259,6 @@ def test_advance_stops_at_the_halt_observation_tick():
     assert engine.advance(100) == 0  # already halted: consumes nothing
 
 
-def test_advance_with_observers_stays_tick_accurate():
-    tracer_ref, tracer_cmp = Tracer(), Tracer()
-    ref_chip = build_mixed_divider_chip()
-    cmp_chip = build_mixed_divider_chip()
-    ReferenceEngine(ref_chip, observers=(tracer_ref,)).advance(50)
-    CompiledEngine(cmp_chip, observers=(tracer_cmp,)).advance(50)
-    assert tracer_cmp.events == tracer_ref.events
-    assert tracer_cmp.events  # the window really was observed
-
-
 # ----------------------------------------------------------------------
 # factory / facade
 # ----------------------------------------------------------------------
@@ -321,42 +267,22 @@ def test_create_engine_rejects_unknown_name():
     simulation failure - callers can catch them separately."""
     with pytest.raises(ConfigurationError, match="unknown engine"):
         create_engine("warp", build_mixed_divider_chip())
+    with pytest.raises(ConfigurationError, match="unknown engine"):
+        create_engine("auto", build_mixed_divider_chip())
     with pytest.raises(ConfigurationError, match="available"):
         Simulator(build_mixed_divider_chip(), engine="warp")
 
 
 def test_auto_engine_defaults_to_compiled():
-    """The ROADMAP lever: compiled is the default when no observers
-    or until predicates need tick-accurate visibility."""
-    chip = build_mixed_divider_chip()
-    assert isinstance(create_engine("auto", chip), CompiledEngine)
-    assert isinstance(Simulator(chip).engine, CompiledEngine)
-    _, chip_and_stats = run_single_column(spin_program(5))
-    # and the default still matches the reference bit for bit
-    assert Simulator(build_mixed_divider_chip()).run() \
-        == Simulator(build_mixed_divider_chip(),
-                     engine="reference").run()
-
-
-def test_auto_engine_with_observers_stays_tick_accurate():
-    chip = build_mixed_divider_chip()
-    tracer = Tracer()
-    assert isinstance(
-        create_engine("auto", chip, (tracer,)), ReferenceEngine
-    )
-    assert isinstance(
-        Simulator(build_mixed_divider_chip(), tracer=Tracer()).engine,
-        ReferenceEngine,
-    )
+    """The simulator's default engine is the compiled one, and it
+    matches the reference bit for bit."""
+    sim = Simulator(build_mixed_divider_chip())
+    assert isinstance(sim.engine, CompiledEngine)
+    assert sim.run() == Simulator(build_mixed_divider_chip(),
+                                  engine="reference").run()
 
 
 def test_simulator_accepts_engine_instance():
     chip = build_mixed_divider_chip()
     sim = Simulator(chip, engine=CompiledEngine(chip))
     assert sim.run() == Simulator(build_mixed_divider_chip()).run()
-
-
-def test_simulator_rejects_tracer_with_engine_instance():
-    chip = build_mixed_divider_chip()
-    with pytest.raises(ConfigurationError):
-        Simulator(chip, tracer=Tracer(), engine=CompiledEngine(chip))

@@ -27,6 +27,7 @@ from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou_compiler import Transfer, compile_schedule
 from repro.isa.assembler import assemble
+from repro.isa.instructions import Opcode
 from repro.sim.engine import CompiledEngine, ReferenceEngine
 from repro.sim.simulator import Simulator
 from repro.sim.stats import collect
@@ -159,8 +160,10 @@ def test_send_parked_column_bounded_window_differential():
         assert collect(cmp_chip) == collect(ref_chip)
     # The column really parked on SEND and the compiled engine really
     # settled those edges arithmetically.
-    assert cmp_chip.columns[0].blocked_on_send()
-    assert cmp_chip.columns[0].comm_stalls > 0
+    column = cmp_chip.columns[0]
+    assert column.parked_on_comm()
+    assert column.controller._pending.opcode is Opcode.SEND
+    assert column.comm_stalls > 0
     assert cmp_engine.profile_snapshot()["parked_edges"] > 0
 
 

@@ -11,7 +11,6 @@ from repro.sim.faultinject import FaultInjector, FaultSpec
 from repro.sim.resilience import (
     FaultPolicy,
     JobOutcome,
-    backoff_delay,
     outcomes_snapshot,
     require_ok,
     reset_outcome_counters,
@@ -71,7 +70,7 @@ def deadlocked_request(label):
     )
 
 
-FAST = FaultPolicy(max_retries=2, backoff_base_s=0.0)
+RETRY_TWICE = FaultPolicy(max_retries=2)
 
 
 def test_policy_validation():
@@ -79,19 +78,6 @@ def test_policy_validation():
         FaultPolicy(max_retries=-1)
     with pytest.raises(ValueError):
         FaultPolicy(timeout_s=0.0)
-    with pytest.raises(ValueError):
-        FaultPolicy(backoff_factor=0.5)
-
-
-def test_backoff_is_deterministic_capped_and_jittered():
-    policy = FaultPolicy(backoff_base_s=0.1, backoff_factor=2.0,
-                         backoff_max_s=0.5)
-    first = backoff_delay(policy, "k" * 64, 1)
-    assert first == backoff_delay(policy, "k" * 64, 1)
-    assert 0.05 <= first < 0.15  # base x [0.5, 1.5)
-    assert backoff_delay(policy, "k" * 64, 2) \
-        != backoff_delay(policy, "j" * 64, 2)
-    assert backoff_delay(policy, "k" * 64, 9) < 0.75  # capped x 1.5
 
 
 def test_fault_free_outcomes_match_run_many():
@@ -112,7 +98,7 @@ def test_worker_crash_is_retried_to_success():
     recorder = _Recorder()
     with subscribed(recorder):
         outcomes = run_many(
-            requests, processes=1, policy=FAST, injector=injector
+            requests, processes=1, policy=RETRY_TWICE, injector=injector
         )
     assert [o.status for o in outcomes] == ["ok", "ok"]
     assert [o.retries for o in outcomes] == [1, 1]
@@ -133,7 +119,7 @@ def test_engine_fault_degrades_to_reference_bit_identical():
     recorder = _Recorder()
     with subscribed(recorder):
         outcomes = run_many(
-            [request], processes=1, policy=FAST, injector=injector
+            [request], processes=1, policy=RETRY_TWICE, injector=injector
         )
     outcome = outcomes[0]
     assert outcome.status == "degraded" and outcome.degraded
@@ -145,8 +131,7 @@ def test_engine_fault_degrades_to_reference_bit_identical():
 
 
 def test_job_failing_on_both_engines_settles_failed():
-    policy = FaultPolicy(max_retries=1, backoff_base_s=0.0,
-                         keep_going=True)
+    policy = FaultPolicy(max_retries=1, keep_going=True)
     outcomes = run_many([deadlocked_request("deadlock")],
                                  processes=1, policy=policy)
     assert outcomes[0].status == "failed"
@@ -166,8 +151,7 @@ def test_serial_timeout_is_posthoc_and_retried():
         7, [FaultSpec("delay_job", rate=1.0, attempts=(1,),
                       delay_s=0.05)]
     )
-    policy = FaultPolicy(max_retries=1, timeout_s=0.01,
-                         backoff_base_s=0.0)
+    policy = FaultPolicy(max_retries=1, timeout_s=0.01)
     recorder = _Recorder()
     with subscribed(recorder):
         outcomes = run_many(
@@ -184,7 +168,7 @@ def test_fail_fast_raises_batch_error_with_label():
     injector = FaultInjector(
         9, [FaultSpec("kill_worker", rate=1.0, attempts=(1, 2))]
     )
-    policy = FaultPolicy(max_retries=1, backoff_base_s=0.0)
+    policy = FaultPolicy(max_retries=1)
     with pytest.raises(BatchError) as excinfo:
         run_many(
             requests, processes=1, policy=policy, injector=injector
@@ -200,8 +184,7 @@ def test_keep_going_supervises_every_job_to_a_terminal_outcome():
     injector = FaultInjector(
         9, [FaultSpec("kill_worker", rate=1.0, attempts=(1, 2, 3))]
     )
-    policy = FaultPolicy(max_retries=1, backoff_base_s=0.0,
-                         keep_going=True)
+    policy = FaultPolicy(max_retries=1, keep_going=True)
     outcomes = run_many(
         [doomed, also_doomed], processes=1, policy=policy,
         injector=injector,
@@ -220,7 +203,7 @@ def test_process_mode_crash_containment_bit_identical():
         21, [FaultSpec("kill_worker", rate=1.0, attempts=(1,))]
     )
     outcomes = run_many(
-        requests, processes=2, policy=FAST, injector=injector
+        requests, processes=2, policy=RETRY_TWICE, injector=injector
     )
     assert [o.status for o in outcomes] == ["ok"] * 3
     assert [o.retries for o in outcomes] == [1, 1, 1]
@@ -231,8 +214,7 @@ def test_process_mode_crash_containment_bit_identical():
 def test_run_many_uses_default_policy_and_supervises():
     requests = [make_request(divider=2, label="via-default")]
     injector_free_baseline = run_many(requests, processes=1)
-    set_default_policy(FaultPolicy(max_retries=1,
-                                   backoff_base_s=0.0))
+    set_default_policy(FaultPolicy(max_retries=1))
     supervised = run_many(requests, processes=1)
     assert [o.stats for o in supervised] \
         == [o.stats for o in injector_free_baseline]
@@ -247,8 +229,7 @@ def test_run_many_with_policy_raises_batch_error_on_failure():
     with pytest.raises(BatchError) as excinfo:
         require_ok(run_many(
             requests, processes=1,
-            policy=FaultPolicy(max_retries=1, backoff_base_s=0.0,
-                               keep_going=True),
+            policy=FaultPolicy(max_retries=1, keep_going=True),
             injector=injector,
         ))
     assert "dead" in str(excinfo.value)

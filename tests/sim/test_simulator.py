@@ -8,7 +8,6 @@ from repro.arch.chip import Chip
 from repro.arch.dou import DouCycle, DouProgram, DouState, linear_schedule
 from repro.isa.assembler import assemble
 from repro.sim.simulator import Simulator, run_single_column
-from repro.sim.trace import Tracer
 
 
 def test_mac_kernel_computes_dot_product():
@@ -119,14 +118,6 @@ def test_deadlock_detection():
     program = assemble("recv r0\nhalt")  # nobody ever sends
     with pytest.raises(SimulationError):
         run_single_column(program, max_ticks=500)
-
-
-def test_tracer_records_outcomes():
-    tracer = Tracer(limit=100)
-    program = assemble("movi r0, 1\nmovi r1, 2\nhalt")
-    run_single_column(program, tracer=tracer, max_ticks=100)
-    outcomes = tracer.outcomes(0)
-    assert outcomes.startswith("ii")
 
 
 def test_two_column_pipeline_through_horizontal_bus():
