@@ -26,15 +26,13 @@ class ViterbiDecoder:
             raise ConfigurationError("constraint length out of range")
         self.constraint = constraint
         self.n_states = 1 << (constraint - 1)
-        # Precompute, for each (state, input bit): next state and the
-        # two expected output bits.
-        self._next_state = np.zeros((self.n_states, 2), dtype=np.intp)
+        # Precompute, for each (state, input bit): the two expected
+        # output bits.
         self._outputs = np.zeros((self.n_states, 2, 2), dtype=np.float64)
         mask = (1 << constraint) - 1
         for state in range(self.n_states):
             for bit in (0, 1):
                 register = ((state << 1) | bit) & mask
-                self._next_state[state, bit] = register & (self.n_states - 1)
                 self._outputs[state, bit, 0] = _parity(register & g0)
                 self._outputs[state, bit, 1] = _parity(register & g1)
         # Butterfly structure of the shift-register trellis: target

@@ -55,7 +55,7 @@ from pathlib import Path
 from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou_compiler import Transfer, compile_schedule
-from repro.eval.runner import smoke
+from repro.eval.smoke import smoke
 from repro.isa.assembler import assemble
 from repro.sim.simulator import Simulator
 

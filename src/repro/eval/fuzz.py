@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.eval.runner import smoke
+from repro.eval.smoke import smoke
 from repro.sim.batch import parallel_map
 from repro.workloads.generate import (
     APPS,

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.eval.runner import smoke
+from repro.eval.smoke import smoke
 from repro.sim.batch import parallel_map
 from repro.workloads.coordinated import (
     PIPELINE_GOVERNORS,

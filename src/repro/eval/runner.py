@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from pathlib import Path
 
 from repro.eval import fig5, fig6, fig7, fig8, fig9, fig10
@@ -177,11 +176,6 @@ def write_results(outputs: dict, directory: str) -> list:
         target.write_text(text + "\n")
         written.append(target)
     return written
-
-
-def smoke() -> bool:
-    """Whether ``BENCH_SMOKE`` asks for the shrunk CI-sized evaluations."""
-    return os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 
 def write_bench(directory: str | Path, payload: dict) -> Path:

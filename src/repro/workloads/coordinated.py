@@ -40,8 +40,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 from repro.arch.chip import Chip, PORT_POSITION
 from repro.arch.config import ChipConfig, ColumnConfig
 from repro.arch.dou_compiler import Transfer, compile_schedule
@@ -64,6 +62,7 @@ from repro.isa.assembler import assemble
 from repro.power.interconnect import CommProfile
 from repro.power.measured import EnergyLedger
 from repro.power.model import ComponentSpec, PowerModel
+from repro.workloads.rng import Generator
 
 __all__ = [
     "PIPELINE_GOVERNORS",
@@ -421,12 +420,10 @@ class PipelineScenario:
         LCM of the per-stage denominators of ``input_scale /
         words_in``; 1 for any all-1:1 pipeline.
         """
-        quantum = 1
-        for scale, stage in zip(self.input_scales, self.stages):
-            denominator = (scale / stage.words_in).denominator
-            quantum = quantum * denominator \
-                // np.gcd(quantum, denominator)
-        return int(quantum)
+        return math.lcm(*(
+            (scale / stage.words_in).denominator
+            for scale, stage in zip(self.input_scales, self.stages)
+        ))
 
     @property
     def stage_firings(self) -> tuple:
@@ -549,10 +546,10 @@ def _force_peak(loads: list, rng, peak: int) -> tuple:
     """``loads`` with one frame of its second half raised to ``peak``.
 
     An empty trace stays empty, so the scenario's own no-frames check
-    reports it instead of numpy's empty-range error.
+    reports it instead of the generator's empty-range error.
     """
     if loads:
-        loads[int(rng.integers(len(loads) // 2, len(loads)))] = peak
+        loads[rng.integers(len(loads) // 2, len(loads))] = peak
     return tuple(loads)
 
 
@@ -582,7 +579,7 @@ def _mcs_loads(frames: int, seed: int) -> tuple:
     BPSK .. 64-QAM words per frame, hops biased upward.
     """
     return _sticky_loads(
-        np.random.default_rng(seed), (12, 24, 48, 96), 1, frames,
+        Generator(seed), (12, 24, 48, 96), 1, frames,
         hop=0.65, up=0.55,
     )
 
@@ -604,7 +601,7 @@ def ddc_pipeline_scenario(
         # Narrowband .. full-rate words per frame; a hop is a carrier
         # or bandwidth reconfiguration.
         frame_loads=_sticky_loads(
-            np.random.default_rng(seed), (16, 32, 64, 96), 1, frames,
+            Generator(seed), (16, 32, 64, 96), 1, frames,
             hop=0.7,
         ),
         stages=(
@@ -639,13 +636,13 @@ def wlan_rx_pipeline_scenario(
 
 def _packet_loads(frames: int, seed: int) -> tuple:
     """An AES link trace: idle beacons with encrypted data bursts."""
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     loads = []
     for _ in range(frames):
         if rng.random() < 0.35:  # data burst
-            loads.append(int(rng.integers(10, 16)) * 8)
+            loads.append(rng.integers(10, 16) * 8)
         else:  # beacon / keep-alive traffic
-            loads.append(int(rng.integers(2, 5)) * 8)
+            loads.append(rng.integers(2, 5) * 8)
     # Exercise the worst case at least once.
     return _force_peak(loads, rng, 128)
 
@@ -692,7 +689,7 @@ def mpeg4_pipeline_scenario(
         # consumes the quantizer's 2:1-decimated stream four words per
         # firing - the load quantum the scenario validates.
         frame_loads=_sticky_loads(
-            np.random.default_rng(seed), (16, 32, 64, 96), 1, frames,
+            Generator(seed), (16, 32, 64, 96), 1, frames,
             hop=0.65, up=0.55,
         ),
         stages=(
@@ -724,7 +721,7 @@ def stereo_pipeline_scenario(
         # Low-rate .. hi-res words per frame, a hop per sample-rate or
         # codec switch.
         frame_loads=_sticky_loads(
-            np.random.default_rng(seed), (16, 32, 48, 96), 1, frames,
+            Generator(seed), (16, 32, 48, 96), 1, frames,
             hop=0.55,
         ),
         stages=(

@@ -28,14 +28,13 @@ conservation exact).  :data:`run_scenario` is another name for it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.workloads.coordinated import (
     PipelineScenario,
     PipelineStage,
     _mcs_loads,
     run_pipeline,
 )
+from repro.workloads.rng import Generator
 
 __all__ = [
     "mpeg4_scene_scenario",
@@ -70,7 +69,7 @@ def wlan_mcs_scenario(
 
 def _scene_loads(frames: int, seed: int) -> tuple:
     """An MPEG-4 motion-load trace with scene-change spikes."""
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     loads = []
     decay = ()
     for index in range(frames):
@@ -82,7 +81,7 @@ def _scene_loads(frames: int, seed: int) -> tuple:
             loads.append(96)
             decay = (64, 40)
             continue
-        loads.append(int(20 + rng.integers(0, 9)))  # quiet baseline
+        loads.append(20 + rng.integers(0, 9))  # quiet baseline
     return tuple(loads)
 
 

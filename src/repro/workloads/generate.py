@@ -13,9 +13,12 @@ suite on both engines.
 Reproducibility is the design center ("shrinking by construction"):
 
 * a scenario is a pure function of ``(seed, index)`` - the generator
-  seeds ``numpy``'s PCG64 with exactly that pair, so any failing case
+  seeds a PCG64 stream with exactly that pair, so any failing case
   out of a sweep of hundreds is a two-integer repro
-  (``tools/repro_fuzz_case.py`` replays one verbosely);
+  (``tools/repro_fuzz_case.py`` replays one verbosely).  The stream is
+  :class:`repro.workloads.rng.Generator`, pure Python and equal draw
+  for draw to ``numpy.random.default_rng``, so no numpy release can
+  move a case;
 * coverage is stratified, not sampled: the app rotates with
   ``index % len(APPS)`` and the topology with ``index // len(APPS)``,
   so any 15 consecutive indices cover every (app, topology) class;
@@ -36,8 +39,6 @@ import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.workloads.coordinated import (
     PIPELINE_GOVERNORS,
@@ -46,6 +47,7 @@ from repro.workloads.coordinated import (
     _sticky_loads,
     run_pipeline,
 )
+from repro.workloads.rng import Generator
 
 __all__ = [
     "APPS",
@@ -203,12 +205,12 @@ def _feasible_peak(
 def _sample_stages(rng, app: str, topology: str):
     """Sample (stages, predecessors) for one coverage class."""
     pool = APP_KERNELS[app]
-    works = [int(rng.integers(lo, hi + 1)) for _, lo, hi in pool]
+    works = [rng.integers(lo, hi + 1) for _, lo, hi in pool]
     names = [name for name, _, _ in pool]
 
     if topology == "linear":
-        keep = max(2, int(rng.integers(2, len(pool) + 1)))
-        start = int(rng.integers(0, len(pool) - keep + 1))
+        keep = max(2, rng.integers(2, len(pool) + 1))
+        start = rng.integers(0, len(pool) - keep + 1)
         stages = tuple(
             PipelineStage(names[i], work_per_word=works[i])
             for i in range(start, start + keep)
@@ -222,14 +224,14 @@ def _sample_stages(rng, app: str, topology: str):
         ]
         # One decimator, anywhere past the head; occasionally an
         # expander upstream of it, so non-1:1 covers both directions.
-        position = int(rng.integers(1, len(stages)))
-        factor = int(rng.choice((2, 4)))
+        position = rng.integers(1, len(stages))
+        factor = rng.choice((2, 4))
         stages[position] = PipelineStage(
             names[position], work_per_word=works[position],
             words_in=factor, words_out=1,
         )
         if position > 1 and rng.random() < 0.35:
-            expand = int(rng.integers(1, position))
+            expand = rng.integers(1, position)
             stages[expand] = PipelineStage(
                 names[expand], work_per_word=works[expand],
                 words_in=1, words_out=2,
@@ -249,7 +251,7 @@ def _sample_stages(rng, app: str, topology: str):
         )
         join = PipelineStage(
             names[-1], work_per_word=works[-1],
-            words_in=2, words_out=int(rng.choice((1, 2))),
+            words_in=2, words_out=rng.choice((1, 2)),
         )
         stages = [head, left, right, join]
         predecessors = [(), (0,), (0,), (1, 2)]
@@ -275,7 +277,7 @@ def _sample_loads(
         level = max(quantum, int(share * peak) // quantum * quantum)
         if not levels or level > levels[-1]:
             levels.append(level)
-    start = int(rng.integers(0, len(levels)))
+    start = rng.integers(0, len(levels))
     # A hop is a rate reconfiguration.
     return _sticky_loads(rng, levels, start, frames, hop=0.6)
 
@@ -296,18 +298,16 @@ def generate_scenario(seed: int, index: int) -> GeneratedScenario:
             f"seed and index must be non-negative, got "
             f"({seed}, {index})"
         )
-    rng = np.random.default_rng([seed, index])
+    rng = Generator([seed, index])
     app = APPS[index % len(APPS)]
     topology = TOPOLOGIES[(index // len(APPS)) % len(TOPOLOGIES)]
-    governor = str(rng.choice(PIPELINE_GOVERNORS))
+    governor = rng.choice(PIPELINE_GOVERNORS)
 
     stages, predecessors = _sample_stages(rng, app, topology)
     preds = predecessors if predecessors is not None else \
         ((),) + tuple((i - 1,) for i in range(1, len(stages)))
-    frame_ticks, epoch_ticks = _GEOMETRIES[
-        int(rng.integers(0, len(_GEOMETRIES)))
-    ]
-    ladder = _LADDERS[int(rng.integers(0, len(_LADDERS)))]
+    frame_ticks, epoch_ticks = rng.choice(_GEOMETRIES)
+    ladder = rng.choice(_LADDERS)
     port_capacity = 512
 
     quantum = _flow_quantum(stages, preds)
@@ -325,7 +325,7 @@ def generate_scenario(seed: int, index: int) -> GeneratedScenario:
         stages, preds, frame_ticks - drain, port_capacity, guard=1.3,
     )
     peak = max(quantum, peak // quantum * quantum)
-    frames = int(rng.integers(5, 9))
+    frames = rng.integers(5, 9)
     loads = _sample_loads(rng, peak, quantum, frames)
 
     scenario = PipelineScenario(

@@ -149,26 +149,34 @@ def test_two_anchor_curve_is_scipy_straight_line():
         assert curve.max_frequency_mhz(voltage) == float(reference(voltage))
 
 
-#: Module lists that must load neither scipy nor networkx: the governed
-#: corpus stack, and the warm kernel-replay stack (DDC stream and
-#: mixed-divider chips, FIR and ACS kernels, the governed WLAN burst).
+#: Module lists and the modules each must not load.  The governed
+#: corpus stack (scenario generation, both engines, the governors, the
+#: ledger and the batch executor) is pure Python.  The warm
+#: kernel-replay stack (DDC stream and mixed-divider chips, FIR and ACS
+#: kernels, the governed WLAN burst) needs numpy for its kernels, but
+#: neither scipy nor the runner, which imports every table and figure.
 LEAN_IMPORTS = (
-    ("repro.workloads.generate", "repro.workloads.coordinated"),
-    ("repro.eval.engines", "repro.kernels.base", "repro.kernels.fir",
-     "repro.kernels.viterbi_acs", "repro.sim.simulator",
-     "repro.workloads.dvfs"),
+    (("repro.workloads.generate", "repro.workloads.coordinated",
+      "repro.workloads.dvfs", "repro.sim.batch"),
+     ("numpy", "scipy", "networkx")),
+    (("repro.eval.engines", "repro.kernels.base", "repro.kernels.fir",
+      "repro.kernels.viterbi_acs", "repro.sim.simulator",
+      "repro.workloads.dvfs"),
+     ("scipy", "networkx", "repro.eval.runner")),
 )
 
 
 def test_governed_path_imports_no_scipy():
-    """The V-f curve is pure Python and package ``__init__`` files
-    import nothing, so neither stack loads scipy or networkx."""
+    """The V-f curve and the scenario stream are pure Python, package
+    ``__init__`` files import nothing, and the evaluation modules read
+    ``BENCH_SMOKE`` from a leaf module, so neither stack loads what it
+    does not use."""
     src = str(Path(repro.__file__).resolve().parent.parent)
-    for modules in LEAN_IMPORTS:
+    for modules, banned in LEAN_IMPORTS:
         code = (
             f"import sys, {', '.join(modules)};"
-            "print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'networkx')))"
+            "print(sorted(m for m in sys.modules if any("
+            f"m == b or m.startswith(b + '.') for b in {banned!r})))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],

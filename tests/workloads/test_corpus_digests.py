@@ -15,16 +15,21 @@ and replayed rounds: governed epochs are shorter than
 while forced-on hunting must really replay rounds.  It counts the DOU
 interpreter's calls too: every cycle of the corpus, backpressure
 included, has a compiled per-state path, so none may reach
-``Dou._step_generic``.  CI's fuzz lane checks all 120 cases
-with ``tools/corpus_digests.py``, which also rewrites the file after
-a deliberate change.
+``Dou._step_generic``.  The cases come from a pure-Python PCG64
+stream, so the digests hold with numpy unimportable.  CI's fuzz lane
+checks all 120 cases that way with ``tools/corpus_digests.py``, which
+also rewrites the file after a deliberate change.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.arch.dou import Dou
 from repro.sim import engine as engine_module
 from repro.sim.engine import CompiledEngine
@@ -90,6 +95,28 @@ def test_corpus_matches_golden_digests(monkeypatch, engine, hunt_ticks):
             f"the governed corpus took {len(signatures)} lockstep "
             f"safepoint signatures; its epochs should not hunt"
         )
+
+
+def test_corpus_matches_golden_digests_without_numpy():
+    """Scenario generation, both engines, the governors and the ledger
+    run with numpy unimportable and still reproduce the digests."""
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from repro.workloads.generate import case_digest\n"
+        f"print([case_digest({SEED}, index, engine) for index in range(3)"
+        " for engine in ('reference', 'compiled')])"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    golden = GOLDEN[str(SEED)]
+    assert result.stdout.strip() == repr(
+        [golden[index] for index in range(3) for _ in range(2)]
+    )
 
 
 def test_golden_file_covers_both_seeds():

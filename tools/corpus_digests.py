@@ -18,7 +18,12 @@ import json
 import sys
 from pathlib import Path
 
-from repro.workloads.generate import case_digest
+# The governed stack draws its cases from a pure-Python PCG64 stream;
+# with numpy unimportable, every check also proves no digest depends on
+# whichever numpy release is installed.
+sys.modules["numpy"] = None
+
+from repro.workloads.generate import case_digest  # noqa: E402
 
 GOLDEN = (
     Path(__file__).resolve().parent.parent
